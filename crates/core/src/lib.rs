@@ -83,7 +83,8 @@ pub use cluster::{CommunityCluster, CommunitySummary};
 pub use community::{Community, CommunityBuilder};
 pub use policy::{BootstrapPolicy, EngineKind};
 pub use serve::{
-    ReputationService, ServeConfig, ServeError, StatusCensus, StatusPolicy, SubjectStatus,
+    Rejection, ReputationService, ServeConfig, ServeError, StatusCensus, StatusPolicy,
+    SubjectStatus,
 };
 pub use worker::{
     CommunityReport, InProcessWorker, SubprocessWorker, Worker, WorkerError, WorkerJob,

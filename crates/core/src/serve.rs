@@ -281,6 +281,66 @@ pub enum ServeError {
     /// missing or unreadable. (A merely torn/corrupt checkpoint is
     /// *not* an error — `open` falls back to full journal replay.)
     Checkpoint(String),
+    /// A mutation refused at the boundary, *before* it was journalled:
+    /// the journal and the engine are untouched.
+    Rejected(Rejection),
+}
+
+/// Why [`ReputationService`] refused a mutation. The service checks
+/// every op before appending it, so the journal only holds ops that
+/// replay applies exactly as the live service did.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Rejection {
+    /// A credit or debit amount that is NaN or infinite. (A NaN
+    /// credit would silently zero the subject; an infinite one would
+    /// pin it at 1.)
+    NonFiniteAmount(f64),
+    /// Opinion `index` of a feedback batch is NaN or outside
+    /// `[0, 1]`.
+    OpinionOutOfRange {
+        /// Position of the offending opinion in the batch.
+        index: usize,
+        /// The offending value.
+        opinion: f64,
+    },
+}
+
+impl fmt::Display for Rejection {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Rejection::NonFiniteAmount(a) => write!(f, "amount {a} is not finite"),
+            Rejection::OpinionOutOfRange { index, opinion } => {
+                write!(
+                    f,
+                    "opinion {index} of the batch is {opinion}, not in [0, 1]"
+                )
+            }
+        }
+    }
+}
+
+impl JournalOp {
+    /// Checks the op's values before it is journalled: finite
+    /// credit/debit amounts and opinions in `[0, 1]`.
+    fn validate(&self) -> Result<(), Rejection> {
+        match self {
+            JournalOp::Credit { amount, .. } | JournalOp::Debit { amount, .. }
+                if !amount.is_finite() =>
+            {
+                Err(Rejection::NonFiniteAmount(*amount))
+            }
+            JournalOp::Batch { batch } => {
+                match batch.iter().position(|f| !(0.0..=1.0).contains(&f.opinion)) {
+                    Some(index) => Err(Rejection::OpinionOutOfRange {
+                        index,
+                        opinion: batch[index].opinion,
+                    }),
+                    None => Ok(()),
+                }
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 impl fmt::Display for ServeError {
@@ -289,6 +349,7 @@ impl fmt::Display for ServeError {
             ServeError::Journal(e) => write!(f, "journal: {e}"),
             ServeError::Io(e) => write!(f, "journal file: {e}"),
             ServeError::Checkpoint(m) => write!(f, "checkpoint: {m}"),
+            ServeError::Rejected(r) => write!(f, "rejected: {r}"),
         }
     }
 }
@@ -698,11 +759,14 @@ impl ReputationService {
         }
     }
 
-    /// Journal-then-apply. Holding the journal lock across both steps
-    /// makes journal order identical to apply order; the
-    /// `checkpoint_every` trigger fires here, under the same lock, so
-    /// an auto-checkpoint is a clean cut of the op stream.
+    /// Validate, then journal, then apply. A rejected op returns
+    /// [`ServeError::Rejected`] before anything is written. Holding
+    /// the journal lock across append and apply makes journal order
+    /// identical to apply order; the `checkpoint_every` trigger fires
+    /// here, under the same lock, so an auto-checkpoint is a clean
+    /// cut of the op stream.
     fn mutate(&self, op: JournalOp) -> Result<(), ServeError> {
+        op.validate().map_err(ServeError::Rejected)?;
         match &self.journal {
             Some(journal) => {
                 let mut state = journal.lock().expect("journal lock poisoned");
@@ -826,19 +890,22 @@ impl ReputationService {
         self.mutate(JournalOp::Remove { peer })
     }
 
-    /// Ingests a feedback batch (journalled as one record).
+    /// Ingests a feedback batch (journalled as one record). A batch
+    /// with a NaN or out-of-range opinion is rejected whole.
     pub fn report_batch(&self, batch: &[Feedback]) -> Result<(), ServeError> {
         self.mutate(JournalOp::Batch {
             batch: batch.to_vec(),
         })
     }
 
-    /// Raises `subject`'s reputation (journalled).
+    /// Raises `subject`'s reputation (journalled). A non-finite
+    /// amount is rejected.
     pub fn credit(&self, subject: PeerId, amount: f64) -> Result<(), ServeError> {
         self.mutate(JournalOp::Credit { subject, amount })
     }
 
-    /// Lowers `subject`'s reputation (journalled).
+    /// Lowers `subject`'s reputation (journalled). A non-finite
+    /// amount is rejected.
     pub fn debit(&self, subject: PeerId, amount: f64) -> Result<(), ServeError> {
         self.mutate(JournalOp::Debit { subject, amount })
     }
@@ -1330,6 +1397,71 @@ mod tests {
             looped.register_peer(p, r).unwrap();
         }
         assert_eq!(fingerprint(&looped), fingerprint(&reopened));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Non-finite amounts and NaN or out-of-range opinions are refused
+    /// before they are journalled: the journal length, the census and
+    /// every subject's bits stay exactly as they were, and a reopen
+    /// replays only the accepted ops.
+    #[test]
+    fn bad_amounts_and_opinions_are_rejected_before_the_journal() {
+        let dir = scratch("reject");
+        let path = dir.join("svc.journal");
+        let (service, _) = ReputationService::open(config(), &path).unwrap();
+        service
+            .register_batch(&[
+                (PeerId(1), Reputation::new(0.6)),
+                (PeerId(2), Reputation::new(0.4)),
+            ])
+            .unwrap();
+        service
+            .report_batch(&[Feedback::new(PeerId(1), PeerId(2), 1.0)])
+            .unwrap();
+        let journal_len = || std::fs::metadata(&path).unwrap().len();
+        let (len, census, state) = (
+            journal_len(),
+            service.status_census(),
+            fingerprint(&service),
+        );
+
+        let bad_batch = |opinion| {
+            vec![
+                Feedback::new(PeerId(1), PeerId(2), 0.0),
+                Feedback::new(PeerId(2), PeerId(1), opinion),
+            ]
+        };
+        let rejected = [
+            service.credit(PeerId(2), f64::NAN),
+            service.debit(PeerId(2), f64::INFINITY),
+            service.credit(PeerId(1), f64::NEG_INFINITY),
+            service.report_batch(&bad_batch(f64::NAN)),
+            service.report_batch(&bad_batch(1.5)),
+            service.report_batch(&bad_batch(-0.0625)),
+        ];
+        for result in rejected {
+            match result {
+                Err(ServeError::Rejected(r)) => match r {
+                    Rejection::NonFiniteAmount(a) => assert!(!a.is_finite()),
+                    Rejection::OpinionOutOfRange { index, .. } => assert_eq!(index, 1),
+                },
+                other => panic!("expected a rejection, got {other:?}"),
+            }
+        }
+        assert_eq!(journal_len(), len, "a rejected op reached the journal");
+        assert_eq!(service.status_census(), census);
+        assert_eq!(fingerprint(&service), state);
+
+        // Boundary values are accepted.
+        service.credit(PeerId(2), 0.0).unwrap();
+        service
+            .report_batch(&[Feedback::new(PeerId(2), PeerId(1), 0.0)])
+            .unwrap();
+        let live = fingerprint(&service);
+        drop(service);
+        let (reopened, summary) = ReputationService::open(config(), &path).unwrap();
+        assert_eq!(summary.records, 4);
+        assert_eq!(fingerprint(&reopened), live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,20 +20,39 @@
 //!   applying — not even on their own partition.
 //! * `report_batch` groups the batch by home partition and
 //!   write-locks each touched partition in turn — never more than one
-//!   lock at a time, so the facade cannot deadlock. After the engine
-//!   applies a group, the mutator opens one slab write (epoch odd),
-//!   copies the drained aggregate deltas and interaction increments
-//!   in, and publishes (epoch even) — so the slab jumps atomically
-//!   from the pre-batch to the post-batch state.
+//!   lock at a time, so the facade cannot deadlock. The engine applies
+//!   the group and hands back one `(subject, new aggregate, applied
+//!   opinions)` entry per touched subject; the mutator then opens one
+//!   slab write (epoch odd), writes each entry into its slot (one slot
+//!   lookup per touched subject), and publishes (epoch even) — so the
+//!   slab jumps atomically from the pre-batch to the post-batch
+//!   state.
 //! * `snapshot()` (full replica state) and the `*_locked` read
 //!   variants still take the partition read lock; the locked path is
 //!   kept as the bit-identity oracle for the slab and as the bench
 //!   comparison baseline.
 //!
-//! Membership is engine-wide (any member may report on any subject),
-//! so registration fans out: the home partition gets the subject
-//! state (`register_peer`), every other partition learns the peer as
-//! reporter-only ([`RocqEngine::register_reporter`]).
+//! ## Membership and registration
+//!
+//! Any member may report on any subject, but each partition engine
+//! holds only the subjects homed there. A reporter is a member
+//! exactly when its home partition's [`SnapshotSlab`] contains it, so
+//! the batch path hands the partition engine a membership predicate
+//! that probes that slab — a lock-free read, also when the reporter
+//! lives in another partition. There is no per-partition copy of the
+//! member set:
+//!
+//! * `register_peer` and `register_batch` touch only the home
+//!   partition of each registered peer (one write lock, one epoch
+//!   window per touched partition);
+//! * `remove_peer` removes the subject from its home partition, then
+//!   visits every other partition once to forget the departed
+//!   reporter's interaction counts there (the credibility it earned
+//!   stays, as in the monolithic engine).
+//!
+//! Churn inside a partition's overlay can crash-recover replicas of
+//! *other* subjects when the crash model is on; registration and
+//! removal publish those aggregate moves in the same epoch window.
 //!
 //! ## Consistency model
 //!
@@ -59,15 +78,14 @@
 //! path returns bit-identical values to the locked read path — both
 //! pinned by the serve suite in `replend-tests`.
 
-use crate::engine::{shard_of, ReputationEngine, RocqEngine};
+use crate::engine::{shard_of, Applied, ReputationEngine, RocqEngine};
 use crate::inspect::SubjectSnapshot;
 use crate::params::RocqParams;
-use crate::snapshot::SnapshotSlab;
+use crate::snapshot::{SlabWriter, SnapshotSlab};
 use crate::state::{InvalidState, PartitionCheckpoint};
 use replend_types::hash::salted;
 use replend_types::{Feedback, PeerId, Reputation, ReputationDelta};
-use std::collections::HashSet;
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockWriteGuard};
 
 /// Lock-free sweep attempts before a census falls back to the
 /// partition read lock. Ingest holds the slab's write window only for
@@ -82,6 +100,41 @@ struct Partition {
     engine: RocqEngine,
     /// Drain scratch for slab sync: cleared, never freed.
     delta_scratch: Vec<ReputationDelta>,
+    /// Per-touched-subject results of a report batch: cleared, never
+    /// freed.
+    applied: Vec<Applied>,
+}
+
+impl Partition {
+    fn new(engine: RocqEngine) -> Self {
+        Partition {
+            engine,
+            delta_scratch: Vec::new(),
+            applied: Vec::new(),
+        }
+    }
+
+    /// Writes every pending aggregate delta (plus any already drained
+    /// into the scratch) into the open slab window `w`.
+    fn sync_deltas(&mut self, w: &mut SlabWriter<'_>) {
+        self.engine.drain_deltas(&mut self.delta_scratch);
+        for d in &self.delta_scratch {
+            if let Some(slot) = w.slot_of(d.subject) {
+                w.set_reputation(slot, d.new.value().to_bits());
+            }
+        }
+        self.delta_scratch.clear();
+    }
+
+    /// [`Partition::sync_deltas`] in a window of its own, opened only
+    /// when an aggregate moved (an unchanged slab keeps its epoch and
+    /// its readers' tier memos).
+    fn publish_deltas(&mut self, slab: &SnapshotSlab) {
+        self.engine.drain_deltas(&mut self.delta_scratch);
+        if !self.delta_scratch.is_empty() {
+            self.sync_deltas(&mut slab.write());
+        }
+    }
 }
 
 /// A partition cell: the lock-guarded mutable state side by side with
@@ -94,20 +147,8 @@ struct Cell {
 }
 
 impl Cell {
-    /// Syncs every drained aggregate delta into the slab under one
-    /// epoch window. Callers hold the partition write lock.
-    fn publish_deltas(&self, p: &mut Partition) {
-        p.engine.drain_deltas(&mut p.delta_scratch);
-        if p.delta_scratch.is_empty() {
-            return;
-        }
-        let mut w = self.slab.write();
-        for d in &p.delta_scratch {
-            if let Some(slot) = w.slot_of(d.subject) {
-                w.set_reputation(slot, d.new.value().to_bits());
-            }
-        }
-        p.delta_scratch.clear();
+    fn write(&self) -> RwLockWriteGuard<'_, Partition> {
+        self.lock.write().expect("partition lock poisoned")
     }
 }
 
@@ -145,10 +186,11 @@ impl ConcurrentEngine {
         ConcurrentEngine {
             cells: (0..partitions)
                 .map(|i| Cell {
-                    lock: RwLock::new(Partition {
-                        engine: RocqEngine::new(params, num_sm, salted(seed, i as u64)),
-                        delta_scratch: Vec::new(),
-                    }),
+                    lock: RwLock::new(Partition::new(RocqEngine::new(
+                        params,
+                        num_sm,
+                        salted(seed, i as u64),
+                    ))),
                     slab: SnapshotSlab::with_epoch(epoch0),
                 })
                 .collect(),
@@ -178,82 +220,64 @@ impl ConcurrentEngine {
             .expect("partition lock poisoned")
     }
 
-    /// Registers a subject with `initial` reputation: subject state in
-    /// its home partition, reporter-only membership everywhere else.
-    /// Idempotent, like [`ReputationEngine::register_peer`].
+    /// Registers a subject with `initial` reputation in its home
+    /// partition. Idempotent, like [`ReputationEngine::register_peer`].
     pub fn register_peer(&self, peer: PeerId, initial: Reputation) {
-        let home = shard_of(peer, self.cells.len());
+        self.register_batch(&[(peer, initial)]);
+    }
+
+    /// Registers a batch of subjects, visiting only the partitions
+    /// that home one of them: each takes one write lock and one
+    /// snapshot epoch window for its share of the batch. Final state
+    /// is bit-identical to registering the peers one at a time in
+    /// batch order: partition engines are independent and each sees
+    /// its operations in the same order either way.
+    pub fn register_batch(&self, batch: &[(PeerId, Reputation)]) {
+        let n = self.cells.len();
         for (i, cell) in self.cells.iter().enumerate() {
-            let mut p = cell.lock.write().expect("partition lock poisoned");
+            let mut mine = batch
+                .iter()
+                .filter(|&&(peer, _)| shard_of(peer, n) == i)
+                .peekable();
+            if mine.peek().is_none() {
+                continue;
+            }
+            let mut p = cell.write();
             let p = &mut *p;
-            if i == home {
+            // One epoch window per partition: a reader sees the slab
+            // before or after this cell's share of the batch, never a
+            // half-registered group.
+            let mut w = cell.slab.write();
+            for &(peer, initial) in mine {
                 p.engine.register_peer(peer, initial);
                 // Engine value, not `initial`: re-registration keeps
                 // the existing score, and the slab must stay
                 // bit-identical to the engine either way.
                 let published = p.engine.reputation(peer).expect("registered subject");
-                {
-                    let mut w = cell.slab.write();
-                    let slot = w.insert(peer);
-                    w.set_reputation(slot, published.value().to_bits());
-                }
-                p.engine.drain_deltas(&mut p.delta_scratch);
-                p.delta_scratch.clear();
-            } else {
-                p.engine.register_reporter(peer);
+                let slot = w.insert(peer);
+                w.set_reputation(slot, published.value().to_bits());
             }
+            p.sync_deltas(&mut w);
         }
     }
 
-    /// Registers a batch of subjects, visiting every partition
-    /// **once**: each cell takes one write lock and — for the cell's
-    /// home registrations — one snapshot epoch window, instead of the
-    /// `partitions × batch` lock traffic of a `register_peer` loop.
-    /// Final state is bit-identical to registering the peers one at a
-    /// time in batch order: partition engines are independent and
-    /// each sees its operations in the same order either way.
-    pub fn register_batch(&self, batch: &[(PeerId, Reputation)]) {
-        let n = self.cells.len();
-        for (i, cell) in self.cells.iter().enumerate() {
-            let mut p = cell.lock.write().expect("partition lock poisoned");
-            let p = &mut *p;
-            {
-                // One epoch window per partition: a reader sees the
-                // slab before or after this cell's share of the
-                // batch, never a half-registered group.
-                let mut w = cell.slab.write();
-                for &(peer, initial) in batch {
-                    if shard_of(peer, n) == i {
-                        p.engine.register_peer(peer, initial);
-                        // Engine value, not `initial`, exactly as in
-                        // [`ConcurrentEngine::register_peer`].
-                        let published = p.engine.reputation(peer).expect("registered subject");
-                        let slot = w.insert(peer);
-                        w.set_reputation(slot, published.value().to_bits());
-                    } else {
-                        p.engine.register_reporter(peer);
-                    }
-                }
-            }
-            p.engine.drain_deltas(&mut p.delta_scratch);
-            p.delta_scratch.clear();
-        }
-    }
-
-    /// Removes a subject everywhere: subject state from its home
-    /// partition, reporter-only membership from the rest.
+    /// Removes a subject: its state from its home partition, and its
+    /// interaction counts as a reporter from every other partition.
+    /// A no-op for a peer that is not registered.
     pub fn remove_peer(&self, peer: PeerId) {
         let home = shard_of(peer, self.cells.len());
+        if !self.cells[home].slab.contains(peer) {
+            return;
+        }
         for (i, cell) in self.cells.iter().enumerate() {
-            let mut p = cell.lock.write().expect("partition lock poisoned");
-            let p = &mut *p;
+            let mut p = cell.write();
             if i == home {
                 p.engine.remove_peer(peer);
-                cell.slab.write().remove(peer);
-                p.engine.drain_deltas(&mut p.delta_scratch);
-                p.delta_scratch.clear();
+                let mut w = cell.slab.write();
+                w.remove(peer);
+                p.sync_deltas(&mut w);
             } else {
-                p.engine.remove_reporter(peer);
+                p.engine.forget_reporter(peer);
             }
         }
     }
@@ -286,57 +310,48 @@ impl ConcurrentEngine {
         for f in batch {
             groups[shard_of(f.subject, n)].push(*f);
         }
+        // Lock-free, and never on a slab with an open window: every
+        // window below closes before the next partition's apply.
+        let is_member = |reporter: PeerId| self.home(reporter).slab.contains(reporter);
         for (cell, group) in self.cells.iter().zip(&groups) {
             if group.is_empty() {
                 continue;
             }
-            let mut p = cell.lock.write().expect("partition lock poisoned");
+            let mut p = cell.write();
             let p = &mut *p;
-            p.engine.report_batch(group);
-            p.engine.drain_deltas(&mut p.delta_scratch);
+            p.engine
+                .report_batch_applied(group, is_member, &mut p.applied);
             // One epoch window covers the whole group: aggregate
             // moves and interaction counts land together, so a read
             // sees the pre-group or the post-group state, never a
             // half-applied group.
             {
                 let mut w = cell.slab.write();
-                for d in &p.delta_scratch {
-                    if let Some(slot) = w.slot_of(d.subject) {
-                        w.set_reputation(slot, d.new.value().to_bits());
-                    }
-                }
-                // Count what was actually applied: both ends known.
-                // The membership set is engine-wide in every
-                // partition, so `contains` answers for reporters
-                // homed elsewhere too.
-                for f in group {
-                    if p.engine.contains(f.reporter) {
-                        if let Some(slot) = w.slot_of(f.subject) {
-                            w.add_hits(slot, 1);
-                        }
+                for a in &p.applied {
+                    if let Some(slot) = w.slot_of(a.subject) {
+                        w.set_reputation(slot, a.reputation.value().to_bits());
+                        w.add_hits(slot, u64::from(a.reports));
                     }
                 }
             }
-            p.delta_scratch.clear();
+            p.applied.clear();
         }
     }
 
     /// Directly raises `subject`'s reputation (lending repayment).
     pub fn credit(&self, subject: PeerId, amount: f64) {
         let cell = self.home(subject);
-        let mut p = cell.lock.write().expect("partition lock poisoned");
-        let p = &mut *p;
+        let mut p = cell.write();
         p.engine.credit(subject, amount);
-        cell.publish_deltas(p);
+        p.publish_deltas(&cell.slab);
     }
 
     /// Directly lowers `subject`'s reputation (lending stake).
     pub fn debit(&self, subject: PeerId, amount: f64) {
         let cell = self.home(subject);
-        let mut p = cell.lock.write().expect("partition lock poisoned");
-        let p = &mut *p;
+        let mut p = cell.write();
         p.engine.debit(subject, amount);
-        cell.publish_deltas(p);
+        p.publish_deltas(&cell.slab);
     }
 
     /// The aggregate reputation of `subject` — a lock-free,
@@ -486,12 +501,14 @@ impl ConcurrentEngine {
                 PartitionCheckpoint { engine, slab }
             })
             .collect();
-        // Every partition's member registry is identical by
-        // construction (each registration fans out to all of them),
-        // so only partition 0's travels.
-        for part in parts.iter_mut().skip(1) {
-            part.engine.members = Vec::new();
-        }
+        // Each partition engine's registry holds its own subjects;
+        // the checkpoint carries their union, hoisted to partition 0.
+        let mut members: Vec<PeerId> = parts
+            .iter_mut()
+            .flat_map(|part| std::mem::take(&mut part.engine.members))
+            .collect();
+        members.sort_unstable();
+        parts[0].engine.members = members;
         parts
     }
 
@@ -507,17 +524,38 @@ impl ConcurrentEngine {
     /// republishes the engine's cached aggregate bits into the slab,
     /// so a corrupt checkpoint surfaces as [`InvalidState`] here
     /// rather than as a silent read/locked-path divergence later. The
-    /// member registry — hoisted to partition 0 by the export — is
-    /// rebuilt once and installed into every partition.
+    /// member registry — hoisted to partition 0 by the export — must
+    /// list exactly the union of the partitions' subjects, each homed
+    /// in the partition that holds it.
     pub fn import_partitions(parts: &[PartitionCheckpoint]) -> Result<Self, InvalidState> {
         if parts.is_empty() {
             return Err(InvalidState("no partitions".into()));
+        }
+        let mut members: Vec<PeerId> = Vec::new();
+        for (i, part) in parts.iter().enumerate() {
+            if i > 0 && !part.engine.members.is_empty() {
+                return Err(InvalidState("member registry outside partition 0".into()));
+            }
+            for &(peer, _) in &part.slab {
+                if shard_of(PeerId(peer), parts.len()) != i {
+                    return Err(InvalidState(format!(
+                        "subject {peer} is not homed in partition {i}"
+                    )));
+                }
+                members.push(PeerId(peer));
+            }
+        }
+        members.sort_unstable();
+        if members != parts[0].engine.members {
+            return Err(InvalidState(
+                "member registry disagrees with the partitions' subjects".into(),
+            ));
         }
         use rayon::prelude::*;
         let cells: Vec<Result<Cell, InvalidState>> = parts
             .par_iter()
             .map(|part| {
-                let engine = RocqEngine::import_state(&part.engine)?;
+                let engine = RocqEngine::import_arena(&part.engine)?;
                 if part.slab.len() != engine.subjects_len() {
                     return Err(InvalidState(format!(
                         "slab rows {} != live subjects {}",
@@ -541,29 +579,16 @@ impl ConcurrentEngine {
                         w.add_hits(slot, hits);
                     }
                 }
+                if slab.len() != part.slab.len() {
+                    return Err(InvalidState("duplicate slab row".into()));
+                }
                 Ok(Cell {
-                    lock: RwLock::new(Partition {
-                        engine,
-                        delta_scratch: Vec::new(),
-                    }),
+                    lock: RwLock::new(Partition::new(engine)),
                     slab,
                 })
             })
             .collect();
         let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let members: HashSet<PeerId> = parts[0].engine.members.iter().copied().collect();
-        for cell in &cells {
-            let mut p = cell.lock.write().expect("partition lock poisoned");
-            let mut missing = false;
-            p.engine
-                .for_each_reputation(|peer, _| missing |= !members.contains(&peer));
-            if missing {
-                return Err(InvalidState(
-                    "partition subjects missing from the member registry".into(),
-                ));
-            }
-            p.engine.set_members(members.clone());
-        }
         Ok(ConcurrentEngine { cells })
     }
 
@@ -848,6 +873,56 @@ mod tests {
             ConcurrentEngine::import_partitions(&[]).is_err(),
             "no partitions"
         );
+    }
+
+    /// Registration is O(1) partitions: with another partition's lock
+    /// held, registering a peer still completes — it needs only its
+    /// home partition's write lock.
+    #[test]
+    fn registration_locks_only_the_home_partition() {
+        let e = engine(4);
+        let newcomer = PeerId(100);
+        let other = (shard_of(newcomer, 4) + 1) % 4;
+        let held = e.cells[other].lock.read().expect("partition lock");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                e.register_peer(newcomer, Reputation::HALF);
+                done_tx.send(()).expect("test thread waits");
+            });
+            let done = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+            drop(held);
+            assert!(done.is_ok(), "registration waited on a foreign partition");
+        });
+        assert!(e.contains(newcomer));
+    }
+
+    /// With the crash model on, churn inside a partition's overlay
+    /// crash-recovers *other* subjects' replicas; registration and
+    /// removal must publish those moves, so the slab keeps matching
+    /// the engine.
+    #[test]
+    fn crash_recovery_during_churn_reaches_the_read_slab() {
+        let params = RocqParams {
+            crash_prob: 1.0,
+            ..RocqParams::default()
+        };
+        // One score manager: a crash resets the replica to zero.
+        let e = ConcurrentEngine::new(params, 1, 2, 5);
+        for p in 0..40u64 {
+            e.register_peer(PeerId(p), Reputation::new(0.6));
+        }
+        for p in (0..40u64).step_by(3) {
+            e.remove_peer(PeerId(p));
+        }
+        let mut reset = 0;
+        for p in 0..40u64 {
+            let slab = e.reputation(PeerId(p)).map(|r| r.value().to_bits());
+            let locked = e.reputation_locked(PeerId(p)).map(|r| r.value().to_bits());
+            assert_eq!(slab, locked, "peer {p}: slab missed a crash recovery");
+            reset += usize::from(slab == Some(0.0f64.to_bits()));
+        }
+        assert!(reset > 0, "the crash model never fired");
     }
 
     /// The census sweep agrees with per-subject probes — one coherent

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 /// The credibility update rule, single-sourced so the replica-local
 /// [`CredibilityTable`] (reference layout) and the arena engine's
-/// [`CredibilityBook`] stay bit-identical by construction: agreement
+/// pair table stay bit-identical by construction: agreement
 /// moves `c` up by `γ·(1−c)`, disagreement decays it by `γ·c`,
 /// clamped to `[0, 1]`.
 #[inline]
@@ -74,116 +74,6 @@ impl CredibilityTable {
     }
 }
 
-/// The per-*subject* credibility ledger of the arena engine: one row
-/// per reporter holding that reporter's credibility at **every**
-/// replica slot.
-///
-/// This is the hot-path fusion of what the reference layout spreads
-/// over `numSM` separate [`CredibilityTable`]s: the report loop pays
-/// **one** hash probe per feedback for all replica credibilities and
-/// walks the row's slot column inline. Values are identical by
-/// construction — replicas of a subject observe the same report
-/// stream, so their per-reporter credibilities only diverge through
-/// crash recovery, which the engine applies column-wise
-/// ([`CredibilityBook::copy_column`] /
-/// [`CredibilityBook::reset_column`]) with the same arithmetic as the
-/// table-per-replica layout.
-///
-/// Rows are **never removed on reporter departure**, mirroring the
-/// replica tables of the reference layout (a departed reporter's
-/// earned credibility survives and resumes if it re-joins; only its
-/// interaction *counts* are forgotten — those live in the shard's
-/// [`InteractionLog`](crate::quality::InteractionLog), which the
-/// engine's `remove_peer` still purges).
-#[derive(Clone, Debug)]
-pub struct CredibilityBook {
-    initial: f64,
-    gamma: f64,
-    slots: usize,
-    rows: HashMap<PeerId, Box<[f64]>>,
-}
-
-impl CredibilityBook {
-    /// A book for `slots` replicas where unknown reporters start at
-    /// `initial` and updates use learning rate `gamma`.
-    pub fn new(initial: f64, gamma: f64, slots: usize) -> Self {
-        CredibilityBook {
-            initial: initial.clamp(0.0, 1.0),
-            gamma: gamma.clamp(0.0, 1.0),
-            slots,
-            rows: HashMap::new(),
-        }
-    }
-
-    /// The reporter's mutable per-slot credibility column — the
-    /// single hash probe of the engine's report hot path. New
-    /// reporters start every slot at `initial` (the only heap
-    /// allocation, paid once per (reporter, subject) pair).
-    #[inline]
-    pub fn row_mut(&mut self, reporter: PeerId) -> &mut [f64] {
-        let (initial, slots) = (self.initial, self.slots);
-        self.rows
-            .entry(reporter)
-            .or_insert_with(|| vec![initial; slots].into_boxed_slice())
-    }
-
-    /// Current credibility `slot` assigns to `reporter`.
-    pub fn credibility(&self, reporter: PeerId, slot: usize) -> f64 {
-        self.rows.get(&reporter).map_or(self.initial, |r| r[slot])
-    }
-
-    /// Crash recovery from a sibling replica: every reporter's `dst`
-    /// credibility becomes its `src` credibility (the column-wise
-    /// equivalent of cloning the sibling's table).
-    pub fn copy_column(&mut self, dst: usize, src: usize) {
-        for row in self.rows.values_mut() {
-            row[dst] = row[src];
-        }
-    }
-
-    /// Crash without a surviving sibling: the `slot` column resets to
-    /// the initial credibility (the column-wise equivalent of a fresh
-    /// table — unknown and reset reporters are indistinguishable at
-    /// `initial`).
-    pub fn reset_column(&mut self, slot: usize) {
-        for row in self.rows.values_mut() {
-            row[slot] = self.initial;
-        }
-    }
-
-    /// Number of reporters with explicit state (identical for every
-    /// slot — the book is shared by all replicas of the subject).
-    pub fn known_reporters(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Every reporter's explicit per-slot credibility row, in
-    /// arbitrary (hash) order — checkpoint export sorts by reporter
-    /// for canonical bytes.
-    pub fn iter_rows(&self) -> impl Iterator<Item = (PeerId, &[f64])> {
-        self.rows.iter().map(|(p, r)| (*p, &r[..]))
-    }
-
-    /// Checkpoint import: installs a reporter's row verbatim,
-    /// bit-exact. The row length must match the book's slot count.
-    pub fn insert_row(&mut self, reporter: PeerId, row: Vec<f64>) {
-        assert_eq!(row.len(), self.slots, "credibility row width mismatch");
-        self.rows.insert(reporter, row.into_boxed_slice());
-    }
-
-    /// The slot-count every row carries.
-    #[inline]
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
-    /// The learning rate, for the engine's inline update loop.
-    #[inline]
-    pub fn gamma(&self) -> f64 {
-        self.gamma
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,58 +130,6 @@ mod tests {
         t.forget(PeerId(1));
         assert!(t.is_empty());
         assert_eq!(t.get(PeerId(1)), 0.5);
-    }
-
-    #[test]
-    fn book_starts_at_initial() {
-        let mut b = CredibilityBook::new(0.5, 0.1, 3);
-        assert_eq!(b.credibility(PeerId(1), 0), 0.5);
-        assert_eq!(b.known_reporters(), 0);
-        assert_eq!(b.row_mut(PeerId(1)), &[0.5, 0.5, 0.5]);
-        assert_eq!(b.known_reporters(), 1);
-        b.row_mut(PeerId(1))[2] = 0.9;
-        assert_eq!(b.credibility(PeerId(1), 2), 0.9);
-        assert_eq!(b.known_reporters(), 1, "rows are reused, not re-created");
-    }
-
-    #[test]
-    fn book_columns_match_per_replica_tables() {
-        // The book must be value-identical to numSM independent
-        // tables fed the same agreement stream, including across a
-        // crash copy and a crash reset.
-        let (initial, gamma, slots) = (0.5, 0.1, 3);
-        let mut book = CredibilityBook::new(initial, gamma, slots);
-        let mut tables: Vec<CredibilityTable> = (0..slots)
-            .map(|_| CredibilityTable::new(initial, gamma))
-            .collect();
-        let reporter = PeerId(7);
-        let feed = |book: &mut CredibilityBook, tables: &mut [CredibilityTable], agreed: bool| {
-            for c in book.row_mut(reporter).iter_mut() {
-                *c = credibility_update(*c, agreed, gamma);
-            }
-            for t in tables.iter_mut() {
-                t.update(reporter, agreed);
-            }
-        };
-        for step in 0..40 {
-            feed(&mut book, &mut tables, step % 3 != 0);
-        }
-        // Crash at slot 1 with sibling 0.
-        book.copy_column(1, 0);
-        tables[1] = tables[0].clone();
-        // Crash at slot 2 with no sibling: fresh state.
-        book.reset_column(2);
-        tables[2] = CredibilityTable::new(initial, gamma);
-        for step in 0..40 {
-            feed(&mut book, &mut tables, step % 2 == 0);
-        }
-        for (slot, t) in tables.iter().enumerate() {
-            assert_eq!(
-                book.credibility(reporter, slot).to_bits(),
-                t.get(reporter).to_bits(),
-                "slot {slot} diverged from its reference table"
-            );
-        }
     }
 
     proptest! {

@@ -45,17 +45,27 @@
 //! layout).
 //!
 //! The arrays split **hot from cold**. The `report_batch` inner loop
-//! touches only: the handle index, the shard's pairwise interaction
-//! log, the per-subject [`CredibilityBook`] (one hash probe yielding
-//! the reporter's credibility at **every** replica slot — the
-//! reference layout pays three probes per replica), and the
-//! contiguous `numSM`-strided score slab — since PR 7 a
-//! struct-of-arrays [`ScoreSlab`] walked by hand-unrolled multi-lane
-//! kernels (see the [`slab`](crate::slab) module docs for the layout
-//! and the determinism rule); the cache refresh then walks the same
-//! slab plus the `cached`/`touched_seq` arrays. Replica placement
-//! metadata (ring keys, hosts, re-homing counters) is cold and only
+//! touches only: the handle index; the shard's pair table (the
+//! private `pairs` module), where one hash probe on `(reporter,
+//! subject handle)` yields the pair's interaction count *and* the
+//! reporter's credibility at **every** replica slot — the reference
+//! layout pays a count probe plus three probes per replica; and the
+//! contiguous `numSM`-strided score slab, a struct-of-arrays
+//! [`ScoreSlab`] walked by hand-unrolled multi-lane kernels (see the
+//! [`slab`](crate::slab) module docs for the layout and the
+//! determinism rule). The cache refresh then walks the same slab plus
+//! the `cached`/`marks` arrays. Replica placement metadata (ring
+//! keys, hosts, re-homing counters) is cold and only
 //! touched by churn.
+//!
+//! ## Membership
+//!
+//! An opinion applies only when its reporter is a member. The shard
+//! batch path takes the membership test as a predicate: the engine
+//! passes its own member set, and
+//! [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine), whose
+//! partitions each hold only their own subjects, passes a lock-free
+//! probe of the reporter's home partition's read slab.
 //!
 //! ## Allocation-free steady state
 //!
@@ -75,9 +85,9 @@
 //! 4-shard engine is byte-identical to the same run on 1 shard, and
 //! both are byte-identical to the reference layout.
 
-use crate::credibility::CredibilityBook;
+use crate::pairs::PairTable;
 use crate::params::RocqParams;
-use crate::quality::{quality_from_count, InteractionLog};
+use crate::quality::quality_from_count;
 use crate::score::ScoreState;
 use crate::slab::ScoreSlab;
 use crate::state::{EngineState, InvalidState, ShardState};
@@ -286,6 +296,24 @@ fn assignments_in_arc(
         .chain(wrap.map(|r| index.range(r)).into_iter().flatten())
 }
 
+/// Per-handle batch bookkeeping: the last batch that touched the
+/// subject (O(1) per-batch cache-refresh dedup) and how many opinions
+/// that batch applied to it.
+#[derive(Clone, Copy, Debug, Default)]
+struct BatchMark {
+    seq: u64,
+    applied: u32,
+}
+
+/// One touched subject of a [`RocqEngine::report_batch_applied`]
+/// call: its new aggregate and the opinions applied to it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Applied {
+    pub(crate) subject: PeerId,
+    pub(crate) reputation: Reputation,
+    pub(crate) reports: u32,
+}
+
 /// One partition of the engine state: the subjects whose
 /// `PeerId → shard` hash lands here, stored as a dense slot arena
 /// (see the module docs for the layout).
@@ -300,9 +328,8 @@ struct EngineShard {
     /// Cached replica-mean aggregate, maintained at every mutation
     /// point so [`ReputationEngine::reputation`] is an O(1) read.
     cached: Vec<Reputation>,
-    /// Sequence number of the last batch that touched the subject
-    /// (O(1) per-batch cache-refresh dedup).
-    touched_seq: Vec<u64>,
+    /// Last touching batch and its applied-opinion count.
+    marks: Vec<BatchMark>,
     /// Replica score states as parallel `r`/`w` arrays, `numSM`
     /// consecutive lanes per handle — the contiguous slab the
     /// vectorised report and cache-refresh kernels walk (see
@@ -311,14 +338,11 @@ struct EngineShard {
     // ---- cold arrays, one entry per handle ----
     /// Handle → subject id (delta emission, crash rolls).
     peers: Vec<PeerId>,
-    /// Per-subject credibility ledger (all replica slots in one
-    /// row per reporter).
-    books: Vec<CredibilityBook>,
     /// Replica placement metadata, `numSM` consecutive per handle.
     meta: Vec<ReplicaMeta>,
-    /// Pairwise (reporter, subject) interaction counts for subjects
-    /// of this shard.
-    interactions: InteractionLog,
+    /// `(reporter, subject)` pair records of this shard's subjects:
+    /// interaction counts and per-slot credibilities.
+    pairs: PairTable,
     // ---- index & buffers ----
     /// Replica-key index: key → inline (handle, slot) list, for
     /// O(moved) churn handling instead of O(subjects). Holds only
@@ -339,17 +363,16 @@ struct EngineShard {
 }
 
 impl EngineShard {
-    fn new(num_sm: usize) -> Self {
+    fn new(params: &RocqParams, num_sm: usize) -> Self {
         EngineShard {
             index: HashMap::new(),
             alloc: SlotAllocator::new(),
             cached: Vec::new(),
-            touched_seq: Vec::new(),
+            marks: Vec::new(),
             slab: ScoreSlab::new(),
             peers: Vec::new(),
-            books: Vec::new(),
             meta: Vec::new(),
-            interactions: InteractionLog::new(),
+            pairs: PairTable::new(params.initial_credibility, params.gamma, num_sm),
             key_index: BTreeMap::new(),
             deltas: Vec::new(),
             touched: Vec::new(),
@@ -372,7 +395,7 @@ impl EngineShard {
             cached,
             slab,
             peers,
-            books,
+            pairs,
             meta,
             deltas,
             rehomings,
@@ -399,11 +422,11 @@ impl EngineShard {
                     match (0..sm).find(|&i| i != slot) {
                         Some(sibling) => {
                             slab.copy_lane(base + slot, base + sibling);
-                            books[subject.index()].copy_column(slot, sibling);
+                            pairs.copy_column(subject, slot, sibling);
                         }
                         None => {
                             slab.set(base + slot, ScoreState::new(Reputation::ZERO, 0.0));
-                            books[subject.index()].reset_column(slot);
+                            pairs.reset_column(subject, slot);
                         }
                     }
                     // Recovery rewrote replica state: refresh the
@@ -425,42 +448,36 @@ impl EngineShard {
         }
     }
 
-    /// Applies one opinion to `subject`'s replicas *without*
-    /// refreshing the cached aggregate (shared by [`report`] and
-    /// [`report_batch`], which refresh at different granularities).
-    /// `members` is the engine-wide registry — the reporter may live
-    /// in another shard.
+    /// Applies one opinion from a member `reporter` to `subject`'s
+    /// replicas *without* refreshing the cached aggregate (shared by
+    /// [`report`] and the batch paths, which refresh at different
+    /// granularities). The caller has checked membership: the
+    /// reporter may live in another shard or partition.
     ///
-    /// Returns the subject's handle, or `None` when reporter or
-    /// subject is unknown.
+    /// Returns the subject's handle, or `None` when the subject is
+    /// unknown.
     ///
     /// [`report`]: ReputationEngine::report
-    /// [`report_batch`]: ReputationEngine::report_batch
     #[inline]
     fn apply_report(
         &mut self,
         params: &RocqParams,
-        members: &HashSet<PeerId>,
         reporter: PeerId,
         subject: PeerId,
         opinion: f64,
     ) -> Option<Handle> {
-        if !members.contains(&reporter) {
-            return None;
-        }
         let &h = self.index.get(&subject)?;
         let base = h.index() * self.num_sm;
-        let n = self.interactions.record(reporter, subject);
+        let gamma = self.pairs.gamma();
+        let (n, row) = self.pairs.record(reporter, h);
         let q = quality_from_count(n, params.eta, params.min_quality);
-        let book = &mut self.books[h.index()];
-        let gamma = book.gamma();
         // The fused multi-lane report + credibility kernel (see
         // [`ScoreSlab::report_span`]) — bit-identical to the scalar
         // per-replica walk it replaced.
         self.slab.report_span(
             base,
             self.num_sm,
-            book.row_mut(reporter),
+            row,
             opinion,
             q,
             gamma,
@@ -475,22 +492,23 @@ impl EngineShard {
     fn refresh_cache(&mut self, h: Handle) {
         let base = h.index() * self.num_sm;
         let new = self.slab.aggregate_span(base, self.num_sm);
-        self.finish_refresh(h, new);
+        self.finish_refresh(h, new, true);
     }
 
     /// Publishes a freshly computed aggregate: swaps the cache entry
-    /// and emits a delta when it moved.
+    /// and, with `emit` set, records a delta when it moved.
     #[inline]
-    fn finish_refresh(&mut self, h: Handle, new: Reputation) {
-        let old = self.cached[h.index()];
-        self.cached[h.index()] = new;
-        let delta = ReputationDelta {
-            subject: self.peers[h.index()],
-            old,
-            new,
-        };
-        if !delta.is_noop() {
-            self.deltas.push(delta);
+    fn finish_refresh(&mut self, h: Handle, new: Reputation, emit: bool) {
+        let old = std::mem::replace(&mut self.cached[h.index()], new);
+        if emit {
+            let delta = ReputationDelta {
+                subject: self.peers[h.index()],
+                old,
+                new,
+            };
+            if !delta.is_noop() {
+                self.deltas.push(delta);
+            }
         }
     }
 
@@ -498,29 +516,31 @@ impl EngineShard {
     /// aggregate kernel: each chunk of eight handles advances eight
     /// independent span sums in lockstep ([`ScoreSlab::sum_spans`]),
     /// the remainder steps down through a four-chain chunk and then
-    /// the scalar refresh. Deltas are emitted in run order, so the
-    /// observable stream is identical to refreshing one handle at a
-    /// time.
-    fn refresh_run(&mut self, run: &[Handle]) {
+    /// the scalar span sum. Deltas (with `emit`) are recorded in run
+    /// order, so the observable stream is identical to refreshing one
+    /// handle at a time. `handle` projects a run entry to its handle.
+    fn refresh_run<T: Copy>(&mut self, run: &[T], handle: impl Fn(T) -> Handle, emit: bool) {
         let sm = self.num_sm;
         let mut chunks = run.chunks_exact(8);
         for chunk in &mut chunks {
-            let bases: [usize; 8] = std::array::from_fn(|k| chunk[k].index() * sm);
+            let bases: [usize; 8] = std::array::from_fn(|k| handle(chunk[k]).index() * sm);
             let sums = self.slab.sum_spans(bases, sm);
-            for (k, &h) in chunk.iter().enumerate() {
-                self.finish_refresh(h, Reputation::new(sums[k] / sm as f64));
+            for (k, &t) in chunk.iter().enumerate() {
+                self.finish_refresh(handle(t), Reputation::new(sums[k] / sm as f64), emit);
             }
         }
         let mut rest = chunks.remainder().chunks_exact(4);
         for chunk in &mut rest {
-            let bases: [usize; 4] = std::array::from_fn(|k| chunk[k].index() * sm);
+            let bases: [usize; 4] = std::array::from_fn(|k| handle(chunk[k]).index() * sm);
             let sums = self.slab.sum_spans(bases, sm);
-            for (k, &h) in chunk.iter().enumerate() {
-                self.finish_refresh(h, Reputation::new(sums[k] / sm as f64));
+            for (k, &t) in chunk.iter().enumerate() {
+                self.finish_refresh(handle(t), Reputation::new(sums[k] / sm as f64), emit);
             }
         }
-        for &h in rest.remainder() {
-            self.refresh_cache(h);
+        for &t in rest.remainder() {
+            let h = handle(t);
+            let new = self.slab.aggregate_span(h.index() * sm, sm);
+            self.finish_refresh(h, new, emit);
         }
     }
 
@@ -531,13 +551,13 @@ impl EngineShard {
     fn apply_batch(
         &mut self,
         params: &RocqParams,
-        members: &HashSet<PeerId>,
+        is_member: impl Fn(PeerId) -> bool,
         seq: u64,
         batch: &[Feedback],
     ) {
         self.touched.clear();
         for f in batch {
-            if let Some(h) = self.apply_batch_item(params, members, seq, f) {
+            if let Some(h) = self.apply_batch_item(params, &is_member, seq, f) {
                 self.touched.push(h);
             }
         }
@@ -545,55 +565,36 @@ impl EngineShard {
         // refresh sweep (a pointer swap, not an allocation), so
         // [`EngineShard::refresh_run`] can take `&mut self`.
         let touched = std::mem::take(&mut self.touched);
-        self.refresh_run(&touched);
+        self.refresh_run(&touched, |h| h, true);
         self.touched = touched;
     }
 
     /// Applies one batch feedback, returning the subject's handle
     /// when this is its first touch in batch `seq` — the caller owes
-    /// it one [`EngineShard::refresh_cache`] after the whole batch.
-    /// The single dedup implementation shared by the parallel
+    /// it one cache refresh after the whole batch. Every applied
+    /// opinion is counted in the subject's [`BatchMark`]. The single
+    /// dedup implementation shared by the parallel
     /// ([`EngineShard::apply_batch`]) and serial
-    /// ([`RocqEngine::report_batch`]) paths.
+    /// ([`RocqEngine::apply_serial`]) paths.
     #[inline]
     fn apply_batch_item(
         &mut self,
         params: &RocqParams,
-        members: &HashSet<PeerId>,
+        is_member: impl Fn(PeerId) -> bool,
         seq: u64,
         f: &Feedback,
     ) -> Option<Handle> {
-        let h = self.apply_report(params, members, f.reporter, f.subject, f.opinion)?;
-        (self.touched_seq[h.index()] != seq).then(|| {
-            self.touched_seq[h.index()] = seq;
-            h
-        })
-    }
-
-    /// [`EngineShard::refresh_run`] over the serial batch path's
-    /// `(home shard, handle)` pairs — same multi-chain kernel, tags
-    /// ignored (the caller already grouped the run by home shard).
-    fn refresh_tagged_run(&mut self, run: &[(u32, Handle)]) {
-        let sm = self.num_sm;
-        let mut chunks = run.chunks_exact(8);
-        for chunk in &mut chunks {
-            let bases: [usize; 8] = std::array::from_fn(|k| chunk[k].1.index() * sm);
-            let sums = self.slab.sum_spans(bases, sm);
-            for (k, &(_, h)) in chunk.iter().enumerate() {
-                self.finish_refresh(h, Reputation::new(sums[k] / sm as f64));
-            }
+        if !is_member(f.reporter) {
+            return None;
         }
-        let mut rest = chunks.remainder().chunks_exact(4);
-        for chunk in &mut rest {
-            let bases: [usize; 4] = std::array::from_fn(|k| chunk[k].1.index() * sm);
-            let sums = self.slab.sum_spans(bases, sm);
-            for (k, &(_, h)) in chunk.iter().enumerate() {
-                self.finish_refresh(h, Reputation::new(sums[k] / sm as f64));
-            }
+        let h = self.apply_report(params, f.reporter, f.subject, f.opinion)?;
+        let mark = &mut self.marks[h.index()];
+        if mark.seq == seq {
+            mark.applied += 1;
+            return None;
         }
-        for &(_, h) in rest.remainder() {
-            self.refresh_cache(h);
-        }
+        *mark = BatchMark { seq, applied: 1 };
+        Some(h)
     }
 
     /// Live subjects homed in this shard (shard-balance tests).
@@ -655,25 +656,31 @@ impl EngineShard {
             }
         }
 
-        // Credibility books, flattened: per-handle row counts, then
-        // reporters and credibilities as single flat runs (uniform
-        // rows — every slot bit-equal — pack to one value).
+        // Pair records, flattened into per-subject credibility books:
+        // per-handle row counts, then reporters and credibilities as
+        // single flat runs (uniform rows — every slot bit-equal — pack
+        // to one value). Nonzero interaction counts travel as
+        // `(reporter, subject, count)` triples.
         let mut book_lens = Vec::with_capacity(capacity);
         let mut book_row_uniform: Vec<u8> = Vec::new();
         let mut book_reporters = Vec::new();
         let mut book_rows = Vec::new();
+        let mut interactions: Vec<(PeerId, PeerId, u32)> = Vec::new();
         let mut row_n = 0usize;
-        let mut rows_scratch: Vec<(PeerId, &[f64])> = Vec::new();
+        let mut rows_scratch: Vec<(PeerId, &[f64], u32)> = Vec::new();
         for (h, &live) in occupied.iter().enumerate() {
             if !live {
                 book_lens.push(0);
                 continue;
             }
             rows_scratch.clear();
-            rows_scratch.extend(self.books[h].iter_rows());
-            rows_scratch.sort_unstable_by_key(|&(p, _)| p);
+            rows_scratch.extend(self.pairs.rows(Handle::from_index(h)));
+            rows_scratch.sort_unstable_by_key(|&(p, _, _)| p);
             book_lens.push(rows_scratch.len() as u32);
-            for &(p, row) in &rows_scratch {
+            for &(p, row, n) in &rows_scratch {
+                if n > 0 {
+                    interactions.push((p, self.peers[h], n));
+                }
                 book_reporters.push(p);
                 if row_n % 8 == 0 {
                     book_row_uniform.push(0);
@@ -749,11 +756,6 @@ impl EngineShard {
             })
             .collect();
 
-        let mut interactions: Vec<(PeerId, PeerId, u32)> = self
-            .interactions
-            .iter_counts()
-            .map(|((r, s), n)| (r, s, n))
-            .collect();
         interactions.sort_unstable_by_key(|&(r, s, _)| (r, s));
 
         ShardState {
@@ -864,11 +866,11 @@ impl EngineShard {
             return Err(InvalidState("credibility rows on a vacant slot".into()));
         }
 
-        let mut shard = EngineShard::new(num_sm);
+        let mut shard = EngineShard::new(params, num_sm);
         shard.alloc = SlotAllocator::from_parts(s.capacity, s.free.clone());
         shard.index = s.index.iter().copied().collect();
         shard.cached = s.cached.iter().map(|&v| Reputation::new(v)).collect();
-        shard.touched_seq = vec![0; capacity];
+        shard.marks = vec![BatchMark::default(); capacity];
         shard.peers.clone_from(&s.peers);
 
         let mut i = 0;
@@ -892,9 +894,11 @@ impl EngineShard {
         let row_uniform = |r: usize| s.book_row_uniform[r / 8] >> (r % 8) & 1 == 1;
         let mut row_n = 0usize;
         let mut val_n = 0usize;
-        shard.books = Vec::with_capacity(capacity);
+        if capacity > 0 {
+            shard.pairs.add_subject(Handle::from_index(capacity - 1));
+        }
+        let mut uniform_row = vec![0.0; num_sm];
         for h in 0..capacity {
-            let mut book = CredibilityBook::new(params.initial_credibility, params.gamma, num_sm);
             for _ in 0..s.book_lens[h] {
                 let reporter = s.book_reporters[row_n];
                 let row = if row_uniform(row_n) {
@@ -902,18 +906,20 @@ impl EngineShard {
                         InvalidState("flat credibility run shorter than its rows".into())
                     })?;
                     val_n += 1;
-                    vec![v; num_sm]
+                    uniform_row.fill(v);
+                    &uniform_row[..]
                 } else {
                     let run = s.book_rows.get(val_n..val_n + num_sm).ok_or_else(|| {
                         InvalidState("flat credibility run shorter than its rows".into())
                     })?;
                     val_n += num_sm;
-                    run.to_vec()
+                    run
                 };
-                book.insert_row(reporter, row);
+                if !shard.pairs.insert_row(reporter, Handle::from_index(h), row) {
+                    return Err(InvalidState("duplicate credibility row".into()));
+                }
                 row_n += 1;
             }
-            shard.books.push(book);
         }
         if val_n != s.book_rows.len() {
             return Err(InvalidState(
@@ -1003,8 +1009,22 @@ impl EngineShard {
             }
         }
 
+        if !s
+            .interactions
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))
+        {
+            return Err(InvalidState(
+                "interaction counts not strictly sorted".into(),
+            ));
+        }
         for &(r, subject, n) in &s.interactions {
-            shard.interactions.insert_count(r, subject, n);
+            let h = shard.index.get(&subject).copied();
+            if n == 0 || !h.is_some_and(|h| shard.pairs.set_count(r, h, n)) {
+                return Err(InvalidState(
+                    "interaction count without a credibility row".into(),
+                ));
+            }
         }
         shard.rehomings = s.rehomings;
         shard.crash_losses = s.crash_losses;
@@ -1075,7 +1095,9 @@ impl RocqEngine {
             num_sm,
             seed,
             ring: Ring::new(),
-            shards: (0..num_shards).map(|_| EngineShard::new(num_sm)).collect(),
+            shards: (0..num_shards)
+                .map(|_| EngineShard::new(&params, num_sm))
+                .collect(),
             members: HashSet::new(),
             batch_seq: 0,
             parallel_batch_min: PARALLEL_BATCH_MIN,
@@ -1145,7 +1167,7 @@ impl RocqEngine {
         let shard = &self.shards[self.shard_of(subject)];
         let &h = shard.index.get(&subject)?;
         let base = h.index() * self.num_sm;
-        let known = shard.books[h.index()].known_reporters();
+        let known = shard.pairs.known_reporters(h);
         Some(
             (0..self.num_sm)
                 .map(|slot| crate::inspect::ReplicaSnapshot {
@@ -1163,7 +1185,7 @@ impl RocqEngine {
     pub(crate) fn reporter_credibility(&self, subject: PeerId, reporter: PeerId) -> Option<f64> {
         let shard = &self.shards[self.shard_of(subject)];
         let &h = shard.index.get(&subject)?;
-        Some(shard.books[h.index()].credibility(reporter, 0))
+        Some(shard.pairs.credibility(reporter, h, 0))
     }
 
     /// Applies a churn handoff to every shard. Each shard re-homes
@@ -1178,57 +1200,18 @@ impl RocqEngine {
         }
     }
 
-    /// Registers `peer` as a **reporter-only** member: its opinions
-    /// pass the membership gate of
-    /// [`ReputationEngine::report`]/[`report_batch`], but no subject
-    /// state is created and the peer does not join this engine's
-    /// overlay ring.
-    ///
-    /// This is the membership bridge of
-    /// [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine):
-    /// each partition holds the subjects hashed to it, yet any member
-    /// may report on any subject, so every *other* partition learns
-    /// the peer as reporter-only. Must not be called for a peer that
-    /// is (or will become) a subject of *this* engine —
-    /// [`ReputationEngine::register_peer`] would then see the peer as
-    /// already registered and skip creating its subject state.
-    ///
-    /// [`report_batch`]: ReputationEngine::report_batch
-    pub fn register_reporter(&mut self, peer: PeerId) {
-        debug_assert!(
-            !self.shards[self.shard_of(peer)].index.contains_key(&peer),
-            "register_reporter on a peer that is a subject of this engine"
-        );
-        self.members.insert(peer);
-    }
-
-    /// Undoes [`RocqEngine::register_reporter`]: drops the peer from
-    /// the membership gate and forgets its interaction counts (the
-    /// same reporter-side cleanup [`ReputationEngine::remove_peer`]
-    /// performs). Must not be called for a subject of this engine —
-    /// use `remove_peer` there.
-    pub fn remove_reporter(&mut self, peer: PeerId) {
-        debug_assert!(
-            !self.shards[self.shard_of(peer)].index.contains_key(&peer),
-            "remove_reporter on a peer that is a subject of this engine"
-        );
-        if !self.members.remove(&peer) {
-            return;
-        }
+    /// Forgets `peer`'s interaction counts as a reporter in every
+    /// shard, keeping the credibility it earned — the reporter-side
+    /// cleanup of [`ReputationEngine::remove_peer`]. The concurrent
+    /// facade calls it on the partitions that do not home the
+    /// departing peer.
+    pub(crate) fn forget_reporter(&mut self, peer: PeerId) {
         for shard in &mut self.shards {
-            shard.interactions.forget(peer);
+            shard.pairs.forget_reporter(peer);
         }
     }
 
-    /// True when `peer` has subject state in this engine (stricter
-    /// than [`ReputationEngine::contains`], which also accepts
-    /// reporter-only members).
-    pub fn is_subject(&self, peer: PeerId) -> bool {
-        self.shards[self.shard_of(peer)].index.contains_key(&peer)
-    }
-
-    /// Number of registered subjects (reporter-only members are not
-    /// counted).
+    /// Number of registered subjects.
     pub fn subjects_len(&self) -> usize {
         self.shards.iter().map(|s| s.index.len()).sum()
     }
@@ -1277,6 +1260,28 @@ impl RocqEngine {
     /// checkpoint can fall back to full journal replay instead of
     /// aborting.
     pub fn import_state(state: &EngineState) -> Result<Self, InvalidState> {
+        let engine = Self::import_arena(state)?;
+        if !engine.members_are(&state.members) {
+            return Err(InvalidState(
+                "member registry disagrees with the subject index".into(),
+            ));
+        }
+        Ok(engine)
+    }
+
+    /// True when `members` lists exactly this engine's members, in
+    /// strictly ascending order (the export's canonical form).
+    fn members_are(&self, members: &[PeerId]) -> bool {
+        members.len() == self.members.len()
+            && members.windows(2).all(|w| w[0] < w[1])
+            && members.iter().all(|p| self.members.contains(p))
+    }
+
+    /// [`RocqEngine::import_state`] without the member-registry check:
+    /// the member set is rebuilt from the shards' subject indexes.
+    /// The concurrent facade checks its hoisted registry against the
+    /// union of its partitions instead.
+    pub(crate) fn import_arena(state: &EngineState) -> Result<Self, InvalidState> {
         state
             .params
             .validate()
@@ -1299,19 +1304,89 @@ impl RocqEngine {
             return Err(InvalidState("ring nodes not strictly ascending".into()));
         }
         engine.ring = Ring::from_sorted_nodes(state.ring.iter().copied());
-        engine.members = state.members.iter().copied().collect();
-        for (shard, s) in engine.shards.iter_mut().zip(&state.shards) {
+        for (i, (shard, s)) in engine.shards.iter_mut().zip(&state.shards).enumerate() {
             *shard = EngineShard::import(s, num_sm, &state.params, &state.ring)?;
+            if shard
+                .index
+                .keys()
+                .any(|&p| shard_of(p, state.shards.len()) != i)
+            {
+                return Err(InvalidState("subject homed in a foreign shard".into()));
+            }
+            engine.members.extend(shard.index.keys());
         }
         Ok(engine)
     }
 
-    /// Replaces the member registry wholesale — the partition-set
-    /// import path rebuilds it once and installs a clone into every
-    /// partition engine (the registries are identical by
-    /// construction, so only partition 0's travels in a checkpoint).
-    pub(crate) fn set_members(&mut self, members: HashSet<PeerId>) {
-        self.members = members;
+    /// The serial batch path as batch `seq`: routes each feedback to
+    /// its subject's shard directly (no partition buffers) and
+    /// collects first touches in `touched`, reused across calls.
+    /// Membership is `is_member`. A function over the engine's fields
+    /// so the predicate can borrow the member set.
+    fn apply_serial(
+        shards: &mut [EngineShard],
+        touched: &mut Vec<(u32, Handle)>,
+        params: &RocqParams,
+        seq: u64,
+        batch: &[Feedback],
+        is_member: impl Fn(PeerId) -> bool,
+    ) {
+        touched.clear();
+        for f in batch {
+            let home = shard_of(f.subject, shards.len());
+            if let Some(h) = shards[home].apply_batch_item(params, &is_member, seq, f) {
+                touched.push((home as u32, h));
+            }
+        }
+    }
+
+    /// Refreshes the cached aggregates of the serial path's touched
+    /// subjects, one run of consecutive same-shard touches at a time
+    /// through the multi-chain aggregate kernel (a single-shard engine
+    /// is one run). Run order equals first-touch order, so the delta
+    /// stream (with `emit`) is identical to a one-at-a-time sweep.
+    fn refresh_serial(&mut self, emit: bool) {
+        let RocqEngine {
+            shards,
+            serial_touched,
+            ..
+        } = self;
+        for run in serial_touched.chunk_by(|a, b| a.0 == b.0) {
+            shards[run[0].0 as usize].refresh_run(run, |(_, h)| h, emit);
+        }
+    }
+
+    /// [`ReputationEngine::report_batch`] for a caller that owns
+    /// membership and publishes results itself (the concurrent
+    /// facade): opinions whose reporter fails `is_member` are
+    /// skipped, no deltas are recorded, and `out` receives one entry
+    /// per touched subject in first-touch order — its new aggregate
+    /// and the number of opinions applied to it. Engine state ends
+    /// bit-identical to `report_batch` under the same membership.
+    pub(crate) fn report_batch_applied(
+        &mut self,
+        batch: &[Feedback],
+        is_member: impl Fn(PeerId) -> bool,
+        out: &mut Vec<Applied>,
+    ) {
+        self.batch_seq += 1;
+        Self::apply_serial(
+            &mut self.shards,
+            &mut self.serial_touched,
+            &self.params,
+            self.batch_seq,
+            batch,
+            is_member,
+        );
+        self.refresh_serial(false);
+        out.extend(self.serial_touched.iter().map(|&(home, h)| {
+            let shard = &self.shards[home as usize];
+            Applied {
+                subject: shard.peers[h.index()],
+                reputation: shard.cached[h.index()],
+                reports: shard.marks[h.index()].applied,
+            }
+        }));
     }
 }
 
@@ -1331,13 +1406,9 @@ impl ReputationEngine for RocqEngine {
         let h = match shard.alloc.alloc() {
             SlotAlloc::Fresh(h) => {
                 shard.cached.push(Reputation::ZERO);
-                shard.touched_seq.push(0);
+                shard.marks.push(BatchMark::default());
                 shard.peers.push(peer);
-                shard.books.push(CredibilityBook::new(
-                    self.params.initial_credibility,
-                    self.params.gamma,
-                    num_sm,
-                ));
+                shard.pairs.add_subject(h);
                 for _ in 0..num_sm {
                     shard.slab.push(ScoreState::default());
                     shard.meta.push(ReplicaMeta::vacant());
@@ -1345,15 +1416,10 @@ impl ReputationEngine for RocqEngine {
                 h
             }
             SlotAlloc::Reused(h) => {
-                // Overwrite the vacated slot in place; the fresh book
-                // drops the previous occupant's rows.
-                shard.touched_seq[h.index()] = 0;
+                // Overwrite the vacated slot in place; removal already
+                // released the previous occupant's pair records.
+                shard.marks[h.index()] = BatchMark::default();
                 shard.peers[h.index()] = peer;
-                shard.books[h.index()] = CredibilityBook::new(
-                    self.params.initial_credibility,
-                    self.params.gamma,
-                    num_sm,
-                );
                 h
             }
         };
@@ -1398,19 +1464,15 @@ impl ReputationEngine for RocqEngine {
                 }
             }
         }
-        // Release the subject's heap state; the slot itself is
-        // recycled by the free list. Other subjects' books keep the
-        // departed peer's *credibility* rows (as the reference
+        // Release the subject's pair records; the slot itself is
+        // recycled by the free list. Other subjects keep the departed
+        // peer's *credibility* as a reporter (as the reference
         // layout's replica tables do — earned credibility resumes on
-        // re-join); only the interaction counts are forgotten below.
-        shard.books[h.index()] =
-            CredibilityBook::new(self.params.initial_credibility, self.params.gamma, num_sm);
+        // re-join); only its interaction counts are forgotten, in
+        // every shard.
+        shard.pairs.remove_subject(h);
         shard.alloc.release(h);
-        // The departed peer's opinions-as-reporter are spread over
-        // every shard's interaction log.
-        for shard in &mut self.shards {
-            shard.interactions.forget(peer);
-        }
+        self.forget_reporter(peer);
         if let Some(event) = self.ring.leave(peer.node_id()) {
             self.apply_handoff(event);
         }
@@ -1421,9 +1483,12 @@ impl ReputationEngine for RocqEngine {
     }
 
     fn report(&mut self, reporter: PeerId, subject: PeerId, opinion: f64) {
+        if !self.members.contains(&reporter) {
+            return;
+        }
         let (params, home) = (self.params, self.shard_of(subject));
         let shard = &mut self.shards[home];
-        if let Some(h) = shard.apply_report(&params, &self.members, reporter, subject, opinion) {
+        if let Some(h) = shard.apply_report(&params, reporter, subject, opinion) {
             shard.refresh_cache(h);
         }
     }
@@ -1461,12 +1526,10 @@ impl ReputationEngine for RocqEngine {
     fn report_batch(&mut self, batch: &[Feedback]) {
         // Apply every opinion in order (bit-identical to sequential
         // `report` calls), but refresh each touched subject's cached
-        // aggregate only once — the per-subject sequence number makes
-        // the dedup O(1) regardless of batch size.
+        // aggregate only once — the per-subject batch mark makes the
+        // dedup O(1) regardless of batch size.
         self.batch_seq += 1;
-        let seq = self.batch_seq;
-        let params = self.params;
-        let n_shards = self.shards.len();
+        let (seq, params, n_shards) = (self.batch_seq, self.params, self.shards.len());
         if use_parallel_fanout(
             n_shards,
             batch.len(),
@@ -1495,42 +1558,24 @@ impl ReputationEngine for RocqEngine {
             shards
                 .par_iter_mut()
                 .zip(&*parts)
-                .for_each(|(shard, part)| shard.apply_batch(&params, members, seq, part));
+                .for_each(|(shard, part)| {
+                    shard.apply_batch(&params, |r| members.contains(&r), seq, part)
+                });
             return;
         }
         // Serial path (single shard, or batches too small to pay a
         // thread-pool round trip — e.g. the community's two opinions
-        // per tick): route each feedback to its subject's shard
-        // directly, no partition buffers, first-touch list reused
-        // across calls.
-        let RocqEngine {
-            shards,
-            members,
-            serial_touched,
-            ..
-        } = self;
-        let members: &HashSet<PeerId> = members;
-        serial_touched.clear();
-        for f in batch {
-            let home = shard_of(f.subject, n_shards);
-            if let Some(h) = shards[home].apply_batch_item(&params, members, seq, f) {
-                serial_touched.push((home as u32, h));
-            }
-        }
-        // Refresh runs of consecutive same-shard touches through the
-        // four-chain aggregate kernel (a single-shard engine is one
-        // run). Run order equals first-touch order, so the delta
-        // stream is identical to the old one-at-a-time sweep.
-        let mut i = 0;
-        while i < serial_touched.len() {
-            let home = serial_touched[i].0;
-            let mut j = i + 1;
-            while j < serial_touched.len() && serial_touched[j].0 == home {
-                j += 1;
-            }
-            shards[home as usize].refresh_tagged_run(&serial_touched[i..j]);
-            i = j;
-        }
+        // per tick).
+        let members = &self.members;
+        Self::apply_serial(
+            &mut self.shards,
+            &mut self.serial_touched,
+            &params,
+            seq,
+            batch,
+            |r| members.contains(&r),
+        );
+        self.refresh_serial(true);
     }
 
     fn drain_deltas(&mut self, out: &mut Vec<ReputationDelta>) {

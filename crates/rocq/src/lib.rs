@@ -60,6 +60,7 @@ pub mod concurrent;
 pub mod credibility;
 pub mod engine;
 pub mod inspect;
+mod pairs;
 pub mod params;
 pub mod quality;
 pub mod reference;

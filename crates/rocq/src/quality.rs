@@ -7,13 +7,12 @@
 //! subject — a reporter's tenth opinion about the same partner is
 //! worth more than its first.
 //!
-//! Both the arena [`RocqEngine`](crate::engine::RocqEngine) (one log
-//! per shard) and the seed-layout
-//! [`ReferenceEngine`](crate::reference::ReferenceEngine) track these
-//! counts in an [`InteractionLog`]; the layouts share the structure
-//! so reporter departures forget counts identically (credibility
-//! state, by contrast, is stored per layout — see
-//! [`CredibilityBook`](crate::credibility::CredibilityBook)).
+//! The arena [`RocqEngine`](crate::engine::RocqEngine) keeps each
+//! pair's count in its per-shard pair table, next to the pair's
+//! credibilities; the seed-layout
+//! [`ReferenceEngine`](crate::reference::ReferenceEngine) tracks the
+//! counts in an [`InteractionLog`]. Both forget a departed reporter's
+//! counts and keep its credibility.
 
 use replend_types::PeerId;
 use std::collections::HashMap;
@@ -54,18 +53,6 @@ impl InteractionLog {
     /// Forgets everything about `peer` (as reporter or subject).
     pub fn forget(&mut self, peer: PeerId) {
         self.counts.retain(|(r, s), _| *r != peer && *s != peer);
-    }
-
-    /// Every tracked (reporter, subject) pair with its count, in
-    /// arbitrary (hash) order — checkpoint export sorts the pairs for
-    /// canonical bytes.
-    pub fn iter_counts(&self) -> impl Iterator<Item = ((PeerId, PeerId), u32)> + '_ {
-        self.counts.iter().map(|(&pair, &n)| (pair, n))
-    }
-
-    /// Checkpoint import: installs a pair's count verbatim.
-    pub fn insert_count(&mut self, reporter: PeerId, subject: PeerId, count: u32) {
-        self.counts.insert((reporter, subject), count);
     }
 
     /// Number of distinct pairs tracked.

@@ -391,9 +391,24 @@ impl SnapshotSlab {
         }
     }
 
-    /// True when `peer` is a live subject (coherent lookup).
+    /// True when `peer` is a live subject (coherent lookup). Probes
+    /// the index table only — no value loads — so the concurrent
+    /// facade's per-opinion membership check stays cheap.
     pub fn contains(&self, peer: PeerId) -> bool {
-        self.read(peer).is_some()
+        loop {
+            let Some((e1, table, values)) = self.begin_read() else {
+                std::hint::spin_loop();
+                continue;
+            };
+            // A slot from a newer table than the value array is
+            // incoherent; the epoch check below rejects it.
+            let found = table
+                .get(peer.raw())
+                .is_some_and(|slot| (slot as usize) < values.cap);
+            if self.validate_read(e1) {
+                return found;
+            }
+        }
     }
 
     /// The coherent status tier of `peer`, through the per-slot memo:

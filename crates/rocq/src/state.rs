@@ -52,8 +52,9 @@
 //!   `u64` for any lane that somehow overflows.
 //! * **Vacant-slot residue is canonicalised, not exported.** The
 //!   registration slot-reuse path overwrites every per-handle field
-//!   before any read (cached, peer, book, score lanes, meta — see
-//!   `RocqEngine::register_peer`), so vacant slots export as zeros /
+//!   before any read (cached, peer, score lanes, meta — see
+//!   `RocqEngine::register_peer`; removal already released the
+//!   subject's pair records), so vacant slots export as zeros /
 //!   empty and import as the same canonical residue. The *slot
 //!   assignment itself* is observable through future recycling, which
 //!   is why the free list is exported in release order and restored
@@ -144,8 +145,9 @@ pub struct ShardState {
     /// collisions) — the only case where the rebuilt key index's
     /// list order is not determined by the keys themselves.
     pub key_collisions: Vec<(NodeId, Vec<(Handle, u32)>)>,
-    /// Pairwise interaction counts: `(reporter, subject, count)`,
-    /// sorted by the pair.
+    /// Nonzero pairwise interaction counts: `(reporter, subject,
+    /// count)`, strictly sorted by the pair. Every pair has a
+    /// credibility row in its subject's book.
     pub interactions: Vec<(PeerId, PeerId, u32)>,
     /// Replica re-homings processed by this shard.
     pub rehomings: u64,
@@ -166,9 +168,10 @@ pub struct EngineState {
     pub parallel_batch_min: u64,
     /// Overlay ring membership in ring (ascending `NodeId`) order.
     pub ring: Vec<NodeId>,
-    /// Engine-wide member registry, sorted. In a partition-set
-    /// checkpoint only partition 0 carries it (every partition's
-    /// registry is identical by construction); see
+    /// Engine-wide member registry, sorted: exactly the engine's
+    /// subjects. In a partition-set checkpoint partition 0 carries
+    /// the union of every partition's subjects and the others carry
+    /// none; see
     /// [`ConcurrentEngine::export_partitions`](crate::concurrent::ConcurrentEngine::export_partitions).
     pub members: Vec<PeerId>,
     /// The subject shards, in shard order.

@@ -805,9 +805,21 @@ pub fn write_frame<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
     writer.flush()
 }
 
+/// Payload bytes [`read_frame`] reserves up front: enough for every
+/// journal record and protocol message in practice, so the common
+/// frame is read with one allocation, while a hostile length header
+/// cannot make the reader reserve more than this before the bytes
+/// actually arrive.
+const FRAME_PREALLOC: u64 = 64 * 1024;
+
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean
 /// end-of-stream (EOF exactly at a frame boundary); a mid-frame EOF
 /// is an `UnexpectedEof` error.
+///
+/// The header is untrusted: the payload is read through
+/// `take(len)`, so the buffer grows with the bytes actually present
+/// (beyond a small up-front reservation) and a bogus 4 GiB length
+/// over a short stream costs only what the stream holds.
 pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
@@ -823,9 +835,15 @@ pub fn read_frame<R: Read>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
             n => filled += n,
         }
     }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    let len = u64::from(u32::from_le_bytes(len_bytes));
+    let mut payload = Vec::with_capacity(len.min(FRAME_PREALLOC) as usize);
+    reader.take(len).read_to_end(&mut payload)?;
+    if payload.len() as u64 != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "stream ended inside a frame payload",
+        ));
+    }
     Ok(Some(payload))
 }
 

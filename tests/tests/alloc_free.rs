@@ -1,21 +1,25 @@
-//! ISSUE 5 acceptance: a steady-state `report_batch` +
-//! `drain_deltas` cycle on the arena engine performs **zero** heap
-//! allocations.
+//! Allocation accounting on the hot and hostile paths.
 //!
-//! This binary installs a counting global allocator (which is why the
-//! test lives alone in its own integration-test file — the counter
-//! must not see concurrent tests' allocations). After a warm-up that
-//! grows every engine-owned scratch buffer, hash table and the
-//! caller's delta buffer to the workload's working set, further
-//! identical batches must not allocate at all: the handle index and
-//! credibility books only probe existing entries, the score-state
-//! slab is written in place, the first-touch lists and partition
-//! buffers are cleared-not-freed, and the drain's canonical merge
-//! sorts a reused index buffer in place.
+//! * A steady-state `report_batch` + `drain_deltas` cycle on the
+//!   arena engine performs **zero** heap allocations. After a warm-up
+//!   that grows every engine-owned scratch buffer, hash table and the
+//!   caller's delta buffer to the workload's working set, further
+//!   identical batches must not allocate at all: the handle index and
+//!   the pair table only probe existing entries, the score-state slab
+//!   is written in place, the first-touch lists and partition buffers
+//!   are cleared-not-freed, and the drain's canonical merge sorts a
+//!   reused index buffer in place.
+//! * Reading a frame whose length header is hostile allocates only
+//!   for the bytes actually present, not for the length it claims.
+//!
+//! This binary installs a counting global allocator, which is why
+//! these tests live in their own integration-test file. The counters
+//! are per thread, so tests running in parallel in this binary do not
+//! see each other's allocations.
 //!
 //! The parallel fan-out path spawns pool threads in the rayon shim
 //! (inherently allocating, and bypassed on single-core hosts
-//! anyway), so this test pins the serial path — the one the
+//! anyway), so the engine test pins the serial path — the one the
 //! community's two-opinion ticks and single-core CI actually run;
 //! the parallel path's engine-owned buffers are covered by the
 //! capacity-stability test in `replend-rocq`.
@@ -23,18 +27,34 @@
 use replend_rocq::{ReputationEngine, RocqEngine, RocqParams};
 use replend_types::{Feedback, PeerId, Reputation};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Number of `alloc`/`realloc`/`alloc_zeroed` calls since process
-/// start.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `alloc`/`realloc`/`alloc_zeroed` calls made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by those calls (a `realloc` counts its new
+    /// size).
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `bytes` on the calling thread. `try_with`
+/// keeps the allocator usable while a thread's locals are torn down.
+fn count(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+/// `(allocations, bytes)` made by the calling thread so far.
+fn counters() -> (u64, u64) {
+    (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get))
+}
 
 struct CountingAllocator;
 
 // SAFETY: delegates every operation to `System`, only counting calls.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -43,18 +63,35 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// A frame header claiming `u32::MAX` bytes over a 3-byte stream is
+/// a truncated frame, and reading it allocates for the bytes present
+/// only — a hostile header cannot make the reader reserve gigabytes.
+#[test]
+fn hostile_frame_header_allocates_only_what_arrives() {
+    let mut stream = u32::MAX.to_le_bytes().to_vec();
+    stream.extend_from_slice(&[1, 2, 3]);
+    let before = counters().1;
+    let err = replend_wire::read_frame(&mut stream.as_slice()).unwrap_err();
+    let allocated = counters().1 - before;
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    assert!(
+        allocated < 1 << 20,
+        "reading a 3-byte frame allocated {allocated} bytes"
+    );
+}
 
 #[test]
 fn steady_state_report_batch_performs_zero_allocations() {
@@ -100,7 +137,7 @@ fn steady_state_report_batch_performs_zero_allocations() {
 
     // Measured region: the steady-state hot path must not allocate.
     let mut checksum = 0.0f64;
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = counters().0;
     for _ in 0..8 {
         engine.report_batch(&batch);
         deltas.clear();
@@ -108,7 +145,7 @@ fn steady_state_report_batch_performs_zero_allocations() {
         checksum += engine.reputation(PeerId(7)).unwrap().value();
         checksum += deltas.len() as f64;
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = counters().0;
 
     assert!(checksum > 0.0, "hot path must have produced results");
     assert_eq!(

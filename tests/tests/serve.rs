@@ -32,50 +32,6 @@ fn op_stream(seed: u64, peers: u64, rounds: u64, batch: u64) -> Vec<Vec<Feedback
         .collect()
 }
 
-/// The tentpole consistency guarantee: with the crash model off, the
-/// partitioned concurrent facade lands on exactly the same per-subject
-/// reputation bits as one monolithic engine fed the identical stream —
-/// partitioning changes locking, never results.
-#[test]
-fn concurrent_engine_is_bitwise_identical_to_monolith() {
-    let params = RocqParams {
-        crash_prob: 0.0,
-        ..RocqParams::default()
-    };
-    const PEERS: u64 = 50;
-    let mut mono = RocqEngine::new(params, 6, 99);
-    let conc = ConcurrentEngine::new(params, 6, 5, 99);
-
-    for i in 0..PEERS {
-        let initial = Reputation::new(i as f64 / PEERS as f64);
-        mono.register_peer(PeerId(i), initial);
-        conc.register_peer(PeerId(i), initial);
-    }
-    for group in op_stream(4242, PEERS, 30, 40) {
-        mono.report_batch(&group);
-        conc.report_batch(&group);
-    }
-    mono.credit(PeerId(1), 0.25);
-    conc.credit(PeerId(1), 0.25);
-    mono.debit(PeerId(2), 0.5);
-    conc.debit(PeerId(2), 0.5);
-    mono.remove_peer(PeerId(49));
-    conc.remove_peer(PeerId(49));
-
-    assert_eq!(conc.len(), (PEERS - 1) as usize);
-    assert!(!conc.contains(PeerId(49)));
-    for i in 0..PEERS - 1 {
-        let peer = PeerId(i);
-        let m = mono.reputation(peer).expect("monolith has the subject");
-        let c = conc.reputation(peer).expect("facade has the subject");
-        assert_eq!(
-            m.value().to_bits(),
-            c.value().to_bits(),
-            "peer {i} diverged between monolith and concurrent facade"
-        );
-    }
-}
-
 /// Reads issued while ingest is live must be coherent: every observed
 /// reputation is in [0, 1], every snapshot is internally consistent
 /// (its combined value recomputes from its own replicas), and the
@@ -369,6 +325,104 @@ fn op_strategy() -> impl Strategy<Value = JournalOp> {
         credit,
         debit,
     ]
+}
+
+/// Applies `op` to a monolithic engine and updates the test-side
+/// oracle of applied-report counts: an opinion counts when both its
+/// reporter and its subject are registered when the batch arrives; a
+/// removal drops the subject's count, a fresh registration starts it
+/// at zero and a repeated one keeps it.
+fn apply_to_monolith(mono: &mut RocqEngine, counts: &mut [Option<u64>], op: &JournalOp) {
+    let mut register = |mono: &mut RocqEngine, peer: PeerId, initial: f64| {
+        mono.register_peer(peer, Reputation::new(initial));
+        counts[peer.raw() as usize].get_or_insert(0);
+    };
+    match op {
+        JournalOp::Register { peer, initial } => register(mono, *peer, *initial),
+        JournalOp::RegisterBatch { batch } => {
+            for &(peer, initial) in batch {
+                register(mono, peer, initial);
+            }
+        }
+        JournalOp::Remove { peer } => {
+            mono.remove_peer(*peer);
+            counts[peer.raw() as usize] = None;
+        }
+        JournalOp::Batch { batch } => {
+            for f in batch {
+                if mono.contains(f.reporter) {
+                    if let Some(n) = &mut counts[f.subject.raw() as usize] {
+                        *n += 1;
+                    }
+                }
+            }
+            mono.report_batch(batch);
+        }
+        JournalOp::Credit { subject, amount } => mono.credit(*subject, *amount),
+        JournalOp::Debit { subject, amount } => mono.debit(*subject, *amount),
+    }
+}
+
+/// Applies `op` to the concurrent facade.
+fn apply_to_facade(conc: &ConcurrentEngine, op: &JournalOp) {
+    match op {
+        JournalOp::Register { peer, initial } => {
+            conc.register_peer(*peer, Reputation::new(*initial))
+        }
+        JournalOp::RegisterBatch { batch } => conc.register_batch(
+            &batch
+                .iter()
+                .map(|&(peer, initial)| (peer, Reputation::new(initial)))
+                .collect::<Vec<_>>(),
+        ),
+        JournalOp::Remove { peer } => conc.remove_peer(*peer),
+        JournalOp::Batch { batch } => conc.report_batch(batch),
+        JournalOp::Credit { subject, amount } => conc.credit(*subject, *amount),
+        JournalOp::Debit { subject, amount } => conc.debit(*subject, *amount),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The facade's consistency guarantee: with the crash model off,
+    /// the partitioned concurrent facade lands on exactly the same
+    /// per-subject reputation bits as one monolithic engine fed the
+    /// identical op stream — registrations single and bulk, removals
+    /// and re-registrations, reports from and about departed peers,
+    /// credits and debits — and publishes exactly the applied-report
+    /// counts an oracle derives from the monolith's membership, after
+    /// **every** op. Partitioning changes locking, never results.
+    #[test]
+    fn concurrent_engine_is_bitwise_identical_to_monolith(
+        ops in proptest::collection::vec(op_strategy(), 1..40),
+    ) {
+        let params = RocqParams {
+            crash_prob: 0.0,
+            ..RocqParams::default()
+        };
+        let mut mono = RocqEngine::new(params, 6, 99);
+        let conc = ConcurrentEngine::new(params, 6, 5, 99);
+        let mut counts = vec![None; PROP_PEERS as usize];
+        for (step, op) in ops.iter().enumerate() {
+            apply_to_monolith(&mut mono, &mut counts, op);
+            apply_to_facade(&conc, op);
+            prop_assert_eq!(conc.len(), mono.subjects_len(), "step {}: {:?}", step, op);
+            for p in 0..PROP_PEERS {
+                let peer = PeerId(p);
+                prop_assert_eq!(
+                    conc.reputation(peer).map(|r| r.value().to_bits()),
+                    mono.reputation(peer).map(|r| r.value().to_bits()),
+                    "step {}: peer {} diverged after {:?}", step, p, op
+                );
+                prop_assert_eq!(
+                    conc.interactions(peer),
+                    counts[p as usize],
+                    "step {}: peer {} count diverged after {:?}", step, p, op
+                );
+            }
+        }
+    }
 }
 
 proptest! {
