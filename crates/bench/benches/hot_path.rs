@@ -7,15 +7,11 @@
 //!
 //! * `hot_path/report_batch/…` — one full-population batch applied
 //!   end-to-end, plus the delta drain the community performs after
-//!   every batch. On a single-core host (such as the CI container:
-//!   `available_parallelism() == 1`, where the rayon pool degrades to
-//!   sequential execution) multi-shard numbers show only partition
-//!   overhead.
+//!   every batch. The batch runs on the calling thread, so
+//!   multi-shard numbers show only the shard-routing overhead.
 //! * `hot_path_critical/one_shard_slice/…` — shard 0's slice of that
-//!   batch: the per-worker work that multi-core hosts run
-//!   concurrently, i.e. the quantity sharding divides and the number
-//!   the ISSUE-5 acceptance bar (≥ 25 % vs. the PR 3 numbers) is
-//!   measured on.
+//!   batch: the per-shard share of the work, kept so the id set (and
+//!   the committed baselines that gate on it) stays stable.
 //! * `hot_path_churn/join_leave/…` — one overlay join + leave,
 //!   re-homing the moved replica arcs (the path the borrowed-in-place
 //!   key index and inline assignment lists speed up).
@@ -80,25 +76,11 @@ fn sizes() -> Vec<usize> {
 }
 
 /// An engine of the given layout with `n` registered subjects spread
-/// over `shards` shards. `serial_only` pins the arena engine to the
-/// serial batch path regardless of host core count (the reference
-/// layout is always serial).
-fn engine_of(
-    layout: &str,
-    n: usize,
-    shards: usize,
-    serial_only: bool,
-) -> Box<dyn ReputationEngine> {
+/// over `shards` shards.
+fn engine_of(layout: &str, n: usize, shards: usize) -> Box<dyn ReputationEngine> {
     let params = RocqParams::default();
     let mut e: Box<dyn ReputationEngine> = match layout {
-        "arena" => {
-            let e = RocqEngine::sharded(params, NUM_SM, shards, 0xE5);
-            Box::new(if serial_only {
-                e.with_parallel_batch_min(usize::MAX)
-            } else {
-                e
-            })
-        }
+        "arena" => Box::new(RocqEngine::sharded(params, NUM_SM, shards, 0xE5)),
         "seed" => Box::new(ReferenceEngine::sharded(params, NUM_SM, shards, 0xE5)),
         other => panic!("unknown layout {other}"),
     };
@@ -128,7 +110,7 @@ fn bench_report_batch(c: &mut Criterion) {
         let batch = batch_of(n);
         for &layout in LAYOUTS {
             for &shards in SHARDS {
-                let mut engine = engine_of(layout, n, shards, false);
+                let mut engine = engine_of(layout, n, shards);
                 let mut deltas = Vec::new();
                 group.bench_function(
                     format!("report_batch/{layout}/{n}subj/{shards}shards"),
@@ -157,19 +139,13 @@ fn bench_critical_path(c: &mut Criterion) {
         for &layout in LAYOUTS {
             for &shards in SHARDS {
                 // Shard 0's slice of the batch (the engine's own
-                // routing function): on a multi-core host, a parallel
-                // report_batch finishes when the slowest such slice
-                // does.
+                // routing function).
                 let part: Vec<Feedback> = full
                     .iter()
                     .filter(|f| shard_of(f.subject, shards) == 0)
                     .copied()
                     .collect();
-                // Serial-only: the slice must measure one worker's
-                // share of the batch, not a pool round trip — on
-                // multi-core hosts the fan-out would otherwise fire
-                // for slices above the parallel threshold.
-                let mut engine = engine_of(layout, n, shards, true);
+                let mut engine = engine_of(layout, n, shards);
                 let mut deltas = Vec::new();
                 group.bench_function(
                     format!("one_shard_slice/{layout}/{n}subj/{shards}shards"),
@@ -193,7 +169,7 @@ fn bench_churn(c: &mut Criterion) {
     for &n in &sizes() {
         for &layout in LAYOUTS {
             for &shards in SHARDS {
-                let mut engine = engine_of(layout, n, shards, false);
+                let mut engine = engine_of(layout, n, shards);
                 let mut next = n as u64;
                 group.bench_function(format!("join_leave/{layout}/{n}subj/{shards}shards"), |b| {
                     b.iter(|| {
@@ -215,10 +191,9 @@ fn bench_churn(c: &mut Criterion) {
 fn bench_reads(c: &mut Criterion) {
     let mut group = c.benchmark_group("hot_path_reads");
     for &n in &sizes() {
-        // The cached-aggregate probe, both layouts (single shard —
-        // the read never fans out).
+        // The cached-aggregate probe, both layouts (single shard).
         for &layout in LAYOUTS {
-            let engine = engine_of(layout, n, 1, false);
+            let engine = engine_of(layout, n, 1);
             let mut p = 0u64;
             group.bench_function(format!("reputation/{layout}/{n}subj"), |b| {
                 b.iter(|| {

@@ -1549,6 +1549,73 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A checkpoint whose numSM is corrupt — one flipped bit in a
+    /// populated partition, or a value on an empty partition that
+    /// disagrees with partition 0 — is refused at import, so open
+    /// falls back to full journal replay instead of aborting.
+    #[test]
+    fn corrupt_num_sm_checkpoint_falls_back_to_full_replay() {
+        let dir = scratch("bad-num-sm");
+        let path = dir.join("svc.journal");
+        // Subjects avoid the last partition, which stays empty.
+        let peers: Vec<PeerId> = (0..40u64)
+            .map(PeerId)
+            .filter(|&p| replend_rocq::shard_of(p, config().partitions) != 3)
+            .collect();
+        let ops = |service: &ReputationService| {
+            let joins: Vec<(PeerId, Reputation)> =
+                peers.iter().map(|&p| (p, Reputation::HALF)).collect();
+            service.register_batch(&joins).unwrap();
+            let batch: Vec<Feedback> = peers
+                .iter()
+                .zip(peers.iter().cycle().skip(1))
+                .map(|(&r, &s)| Feedback::new(r, s, 1.0))
+                .collect();
+            service.report_batch(&batch).unwrap();
+        };
+        {
+            let (service, _) = ReputationService::open(config(), &path).unwrap();
+            ops(&service);
+        }
+        let reference = ReputationService::in_memory(config());
+        ops(&reference);
+
+        // A valid checkpoint of a twin journal supplies the bytes to
+        // corrupt; the original journal keeps the full history.
+        let twin = dir.join("twin.journal");
+        std::fs::copy(&path, &twin).unwrap();
+        {
+            let (twin_svc, _) = ReputationService::open(config(), &twin).unwrap();
+            twin_svc.checkpoint().unwrap();
+        }
+        let valid = std::fs::read(checkpoint_path(&twin)).unwrap();
+        let (seed, doc) = decode_checkpoint::<CheckpointDoc>(&valid).unwrap();
+        let with_num_sm = |i: usize, num_sm: u64| {
+            let mut part: PartitionCheckpoint =
+                replend_wire::from_bytes(&doc.partitions[i]).unwrap();
+            part.engine.num_sm = num_sm;
+            let mut bad = doc.clone();
+            bad.partitions[i] = replend_wire::to_bytes(&part).unwrap();
+            encode_checkpoint(seed, &bad).unwrap()
+        };
+
+        let num_sm = config().num_sm as u64;
+        for (label, bytes) in [
+            ("flipped bit", with_num_sm(0, num_sm ^ (1 << 62))),
+            ("empty partition", with_num_sm(3, num_sm + 1)),
+        ] {
+            std::fs::write(checkpoint_path(&path), &bytes).unwrap();
+            let (reopened, summary) = ReputationService::open(config(), &path).unwrap();
+            assert!(
+                !summary.restored_from_checkpoint(),
+                "{label}: must fall back to full replay"
+            );
+            assert_eq!(summary.records, 2, "{label}");
+            assert_eq!(fingerprint(&reopened), fingerprint(&reference), "{label}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn stale_generation_journal_is_discarded_after_rename_crash() {
         let dir = scratch("stale-gen");

@@ -526,15 +526,24 @@ impl ConcurrentEngine {
     /// rather than as a silent read/locked-path divergence later. The
     /// member registry — hoisted to partition 0 by the export — must
     /// list exactly the union of the partitions' subjects, each homed
-    /// in the partition that holds it.
+    /// in the partition that holds it, and every partition must carry
+    /// partition 0's params and numSM (as
+    /// [`ConcurrentEngine::new`] builds them; the engine seeds differ
+    /// by design, salted per partition).
     pub fn import_partitions(parts: &[PartitionCheckpoint]) -> Result<Self, InvalidState> {
         if parts.is_empty() {
             return Err(InvalidState("no partitions".into()));
         }
+        let first = &parts[0].engine;
         let mut members: Vec<PeerId> = Vec::new();
         for (i, part) in parts.iter().enumerate() {
             if i > 0 && !part.engine.members.is_empty() {
                 return Err(InvalidState("member registry outside partition 0".into()));
+            }
+            if i > 0 && (part.engine.params != first.params || part.engine.num_sm != first.num_sm) {
+                return Err(InvalidState(format!(
+                    "partition {i} disagrees with partition 0 on params or numSM"
+                )));
             }
             for &(peer, _) in &part.slab {
                 if shard_of(PeerId(peer), parts.len()) != i {
@@ -873,6 +882,41 @@ mod tests {
             ConcurrentEngine::import_partitions(&[]).is_err(),
             "no partitions"
         );
+    }
+
+    /// A corrupt numSM surfaces as [`InvalidState`] before anything is
+    /// sized by it — on an empty partition, whose numSM no byte of the
+    /// checkpoint ties down, and on a populated one, where `slots ×
+    /// numSM` can wrap back to the true lane count.
+    #[test]
+    fn import_rejects_corrupt_num_sm() {
+        let e = engine(4);
+        // Subjects avoid partition 3, which stays empty.
+        e.register_batch(
+            &(0..40u64)
+                .map(PeerId)
+                .filter(|&p| shard_of(p, 4) != 3)
+                .map(|p| (p, Reputation::new(0.6)))
+                .collect::<Vec<_>>(),
+        );
+        let parts = e.export_partitions();
+        assert_eq!(parts[3].engine.shards[0].capacity, 0);
+        let wrapped = 6 ^ (1 << 62);
+        for (part, num_sm) in [(3, 7), (3, wrapped), (0, wrapped)] {
+            let mut bad = parts.clone();
+            bad[part].engine.num_sm = num_sm;
+            assert!(
+                ConcurrentEngine::import_partitions(&bad).is_err(),
+                "partition {part} with numSM {num_sm}"
+            );
+        }
+        // Every partition agreeing on the wrapped value: the populated
+        // partitions still fail the checked lane count.
+        let mut bad = parts;
+        for part in &mut bad {
+            part.engine.num_sm = wrapped;
+        }
+        assert!(ConcurrentEngine::import_partitions(&bad).is_err());
     }
 
     /// Registration is O(1) partitions: with another partition's lock

@@ -15,10 +15,9 @@
 //! The engine partitions its subject store into [`EngineShard`]s by a
 //! deterministic `PeerId → shard` hash. Each shard owns the subject
 //! records, the replica-key index and the delta buffer for *its*
-//! subjects, so the three bulk operations —
-//! [`ReputationEngine::report_batch`], churn handoffs, and the
-//! per-shard delta accounting behind them — touch disjoint state and
-//! can run on the rayon pool. Shard-count independence is structural:
+//! subjects; [`ReputationEngine::report_batch`] routes each opinion
+//! to its subject's shard in batch order on the calling thread.
+//! Shard-count independence is structural:
 //!
 //! * a subject's entire state (replicas, credibilities, interaction
 //!   counts) lives in exactly one shard, and every operation on it is
@@ -69,9 +68,8 @@
 //!
 //! ## Allocation-free steady state
 //!
-//! Every buffer the batch path needs — the per-shard partition
-//! buffers of the parallel fan-out, the first-touch (`touched`)
-//! lists, the delta buffers and the canonical-merge scratch of
+//! Every buffer the batch path needs — the first-touch (`touched`)
+//! list, the delta buffers and the canonical-merge scratch of
 //! [`ReputationEngine::drain_deltas`] — is owned by the engine and
 //! *cleared, never freed*. Once the buffers and hash tables have
 //! grown to the workload's working set, a steady-state
@@ -90,7 +88,7 @@ use crate::params::RocqParams;
 use crate::quality::quality_from_count;
 use crate::score::ScoreState;
 use crate::slab::ScoreSlab;
-use crate::state::{EngineState, InvalidState, ShardState};
+use crate::state::{EngineState, InvalidState, ShardState, RETIRED_BATCH_MIN};
 use replend_dht::managers::replica_key;
 use replend_dht::ring::{HandoffEvent, Ring};
 use replend_types::arena::{Handle, InlineList, SlotAlloc, SlotAllocator};
@@ -172,50 +170,6 @@ pub(crate) fn crash_roll(seed: u64, subject: PeerId, slot: usize, rehomes: u64) 
     let bits = splitmix64(seed ^ salted(subject.raw(), salt));
     // 53 high bits → the same [0, 1) grid rand uses for f64.
     (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Default for the smallest batch a multi-shard engine fans out over
-/// the thread pool: the per-tick two-opinion batch must not pay a
-/// thread-pool round trip. Tunable per engine via
-/// [`RocqEngine::with_parallel_batch_min`] (surfaced as
-/// `SimParams::parallel_batch_min`).
-pub const PARALLEL_BATCH_MIN: usize = 256;
-
-/// Worker threads the rayon pool will actually run, sampled once per
-/// engine: the same rule as the pool itself (`RAYON_NUM_THREADS`
-/// when set and positive, otherwise `available_parallelism`), so the
-/// bypass decision below cannot disagree with the pool it is
-/// bypassing. Public so `replend calibrate` can stamp the measured
-/// host's effective pool size into the [`HostProfile`] it emits
-/// (`replend_types::HostProfile`).
-pub fn pool_threads() -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    match std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(n) if n > 0 => n,
-        _ => cores,
-    }
-}
-
-/// The parallel fan-out decision, factored out so it is unit-testable
-/// without a pool: fan out only when the work is actually partitioned
-/// (`num_shards > 1`), the batch clears the configured threshold, and
-/// the pool runs more than one worker (on a single-core host — or
-/// under `RAYON_NUM_THREADS=1` — it degrades to sequential execution,
-/// so partition buffers would be pure overhead). Results are
-/// byte-identical either way.
-#[inline]
-fn use_parallel_fanout(
-    num_shards: usize,
-    batch_len: usize,
-    parallel_batch_min: usize,
-    pool_threads: usize,
-) -> bool {
-    num_shards > 1 && batch_len >= parallel_batch_min && pool_threads > 1
 }
 
 /// The shard index owning `peer`'s subject state in an engine with
@@ -351,9 +305,6 @@ struct EngineShard {
     /// Aggregate changes since the last drain, in mutation order.
     /// Drained with capacity retained.
     deltas: Vec<ReputationDelta>,
-    /// Reusable first-touch scratch of `apply_batch` (cleared, never
-    /// freed).
-    touched: Vec<Handle>,
     /// Replica re-homings processed by this shard.
     rehomings: u64,
     /// Re-homings that lost state under the crash model.
@@ -375,7 +326,6 @@ impl EngineShard {
             pairs: PairTable::new(params.initial_credibility, params.gamma, num_sm),
             key_index: BTreeMap::new(),
             deltas: Vec::new(),
-            touched: Vec::new(),
             rehomings: 0,
             crash_losses: 0,
             num_sm,
@@ -544,38 +494,10 @@ impl EngineShard {
         }
     }
 
-    /// Applies this shard's slice of a report batch: every opinion in
-    /// order, then one cache refresh per touched subject (deduped via
-    /// the batch sequence number, first-touch order). The `touched`
-    /// scratch is shard-owned and reused across batches.
-    fn apply_batch(
-        &mut self,
-        params: &RocqParams,
-        is_member: impl Fn(PeerId) -> bool,
-        seq: u64,
-        batch: &[Feedback],
-    ) {
-        self.touched.clear();
-        for f in batch {
-            if let Some(h) = self.apply_batch_item(params, &is_member, seq, f) {
-                self.touched.push(h);
-            }
-        }
-        // Borrow the first-touch list out of the shard for the
-        // refresh sweep (a pointer swap, not an allocation), so
-        // [`EngineShard::refresh_run`] can take `&mut self`.
-        let touched = std::mem::take(&mut self.touched);
-        self.refresh_run(&touched, |h| h, true);
-        self.touched = touched;
-    }
-
     /// Applies one batch feedback, returning the subject's handle
     /// when this is its first touch in batch `seq` — the caller owes
     /// it one cache refresh after the whole batch. Every applied
-    /// opinion is counted in the subject's [`BatchMark`]. The single
-    /// dedup implementation shared by the parallel
-    /// ([`EngineShard::apply_batch`]) and serial
-    /// ([`RocqEngine::apply_serial`]) paths.
+    /// opinion is counted in the subject's [`BatchMark`].
     #[inline]
     fn apply_batch_item(
         &mut self,
@@ -807,7 +729,13 @@ impl EngineShard {
         ring_nodes: &[NodeId],
     ) -> Result<Self, InvalidState> {
         let capacity = s.capacity as usize;
-        let lanes = capacity * num_sm;
+        // Checked: a corrupt `num_sm` must not wrap `lanes` into a
+        // value the length check below would accept.
+        let lanes = capacity.checked_mul(num_sm).ok_or_else(|| {
+            InvalidState(format!(
+                "{capacity} slots x {num_sm} score managers overflows"
+            ))
+        })?;
         if s.cached.len() != capacity || s.peers.len() != capacity || s.book_lens.len() != capacity
         {
             return Err(InvalidState(format!(
@@ -897,7 +825,9 @@ impl EngineShard {
         if capacity > 0 {
             shard.pairs.add_subject(Handle::from_index(capacity - 1));
         }
-        let mut uniform_row = vec![0.0; num_sm];
+        // Sized on first use: an empty shard ties `num_sm` to no
+        // bytes, so nothing may be allocated from it up front.
+        let mut uniform_row = Vec::new();
         for h in 0..capacity {
             for _ in 0..s.book_lens[h] {
                 let reporter = s.book_reporters[row_n];
@@ -906,7 +836,8 @@ impl EngineShard {
                         InvalidState("flat credibility run shorter than its rows".into())
                     })?;
                     val_n += 1;
-                    uniform_row.fill(v);
+                    uniform_row.clear();
+                    uniform_row.resize(num_sm, v);
                     &uniform_row[..]
                 } else {
                     let run = s.book_rows.get(val_n..val_n + num_sm).ok_or_else(|| {
@@ -1052,17 +983,9 @@ pub struct RocqEngine {
     members: HashSet<PeerId>,
     /// Monotonic id of the current `report_batch` call.
     batch_seq: u64,
-    /// Smallest batch fanned out over the pool (see
-    /// [`PARALLEL_BATCH_MIN`]).
-    parallel_batch_min: usize,
-    /// Worker threads the host can actually run, sampled once at
-    /// construction (`available_parallelism`); 1 bypasses the pool.
-    pool_threads: usize,
     // ---- reusable steady-state scratch (cleared, never freed) ----
-    /// Per-shard partition buffers of the parallel fan-out.
-    parts: Vec<Vec<Feedback>>,
-    /// First-touch list of the serial batch path.
-    serial_touched: Vec<(u32, Handle)>,
+    /// First-touch `(shard, handle)` list of the batch path.
+    touched: Vec<(u32, Handle)>,
     /// Gather buffer of [`ReputationEngine::drain_deltas`].
     drain_scratch: Vec<ReputationDelta>,
     /// Permutation buffer of the canonical drain merge.
@@ -1080,9 +1003,7 @@ impl RocqEngine {
     }
 
     /// An engine whose subject store is partitioned into `num_shards`
-    /// shards. Results are byte-identical for every shard count;
-    /// shards > 1 lets large [`ReputationEngine::report_batch`] calls
-    /// fan out over the rayon pool.
+    /// shards. Results are byte-identical for every shard count.
     ///
     /// # Panics
     /// If `params` fail validation or `num_sm` / `num_shards` is zero.
@@ -1100,27 +1021,10 @@ impl RocqEngine {
                 .collect(),
             members: HashSet::new(),
             batch_seq: 0,
-            parallel_batch_min: PARALLEL_BATCH_MIN,
-            pool_threads: pool_threads(),
-            parts: vec![Vec::new(); num_shards],
-            serial_touched: Vec::new(),
+            touched: Vec::new(),
             drain_scratch: Vec::new(),
             drain_order: Vec::new(),
         }
-    }
-
-    /// Overrides the smallest [`ReputationEngine::report_batch`] size
-    /// fanned out over the thread pool (the `SimParams::
-    /// parallel_batch_min` knob). Results are byte-identical for any
-    /// threshold.
-    ///
-    /// # Panics
-    /// If `min` is zero.
-    #[must_use]
-    pub fn with_parallel_batch_min(mut self, min: usize) -> Self {
-        assert!(min > 0, "parallel_batch_min must be at least 1");
-        self.parallel_batch_min = min;
-        self
     }
 
     /// The shard index owning `peer`'s subject state.
@@ -1190,9 +1094,8 @@ impl RocqEngine {
 
     /// Applies a churn handoff to every shard. Each shard re-homes
     /// (and possibly crash-recovers) only its own subjects' replicas;
-    /// the crash rolls are order-independent, so a serial sweep and a
-    /// parallel one are interchangeable — churn handoffs move few
-    /// keys per event on realistic rings, so the sweep stays serial.
+    /// the crash rolls are order-independent, so the sweep order does
+    /// not matter.
     fn apply_handoff(&mut self, event: HandoffEvent) {
         let (params, seed) = (self.params, self.seed);
         for shard in &mut self.shards {
@@ -1246,7 +1149,7 @@ impl RocqEngine {
             params: self.params,
             num_sm: self.num_sm as u64,
             seed: self.seed,
-            parallel_batch_min: self.parallel_batch_min as u64,
+            retired_batch_min: RETIRED_BATCH_MIN,
             shards: self.shards.iter().map(|s| s.export(&ring)).collect(),
             ring,
             members,
@@ -1294,9 +1197,6 @@ impl RocqEngine {
             return Err(InvalidState("no shards".into()));
         }
         let mut engine = RocqEngine::sharded(state.params, num_sm, state.shards.len(), state.seed);
-        engine.parallel_batch_min = usize::try_from(state.parallel_batch_min)
-            .unwrap_or(PARALLEL_BATCH_MIN)
-            .max(1);
         // The export writes the ring in ascending order; the shard
         // host derivation merge-walks it, so enforce the order here
         // rather than trusting the bytes.
@@ -1318,18 +1218,24 @@ impl RocqEngine {
         Ok(engine)
     }
 
-    /// The serial batch path as batch `seq`: routes each feedback to
-    /// its subject's shard directly (no partition buffers) and
-    /// collects first touches in `touched`, reused across calls.
-    /// Membership is `is_member`. A function over the engine's fields
-    /// so the predicate can borrow the member set.
-    fn apply_serial(
+    /// The batch path as batch `seq`: applies every feedback whose
+    /// reporter passes `is_member` to its subject's shard in batch
+    /// order, collecting first touches in `touched` (reused across
+    /// calls), then refreshes each touched subject's cached aggregate
+    /// once — one run of consecutive same-shard touches at a time
+    /// through the multi-chain aggregate kernel (a single-shard engine
+    /// is one run). Run order equals first-touch order, so the delta
+    /// stream (with `emit`) is identical to a one-at-a-time sweep. A
+    /// function over the engine's fields so the predicate can borrow
+    /// the member set.
+    fn apply_batch(
         shards: &mut [EngineShard],
         touched: &mut Vec<(u32, Handle)>,
         params: &RocqParams,
         seq: u64,
         batch: &[Feedback],
         is_member: impl Fn(PeerId) -> bool,
+        emit: bool,
     ) {
         touched.clear();
         for f in batch {
@@ -1338,20 +1244,7 @@ impl RocqEngine {
                 touched.push((home as u32, h));
             }
         }
-    }
-
-    /// Refreshes the cached aggregates of the serial path's touched
-    /// subjects, one run of consecutive same-shard touches at a time
-    /// through the multi-chain aggregate kernel (a single-shard engine
-    /// is one run). Run order equals first-touch order, so the delta
-    /// stream (with `emit`) is identical to a one-at-a-time sweep.
-    fn refresh_serial(&mut self, emit: bool) {
-        let RocqEngine {
-            shards,
-            serial_touched,
-            ..
-        } = self;
-        for run in serial_touched.chunk_by(|a, b| a.0 == b.0) {
+        for run in touched.chunk_by(|a, b| a.0 == b.0) {
             shards[run[0].0 as usize].refresh_run(run, |(_, h)| h, emit);
         }
     }
@@ -1370,16 +1263,16 @@ impl RocqEngine {
         out: &mut Vec<Applied>,
     ) {
         self.batch_seq += 1;
-        Self::apply_serial(
+        Self::apply_batch(
             &mut self.shards,
-            &mut self.serial_touched,
+            &mut self.touched,
             &self.params,
             self.batch_seq,
             batch,
             is_member,
+            false,
         );
-        self.refresh_serial(false);
-        out.extend(self.serial_touched.iter().map(|&(home, h)| {
+        out.extend(self.touched.iter().map(|&(home, h)| {
             let shard = &self.shards[home as usize];
             Applied {
                 subject: shard.peers[h.index()],
@@ -1529,53 +1422,16 @@ impl ReputationEngine for RocqEngine {
         // aggregate only once — the per-subject batch mark makes the
         // dedup O(1) regardless of batch size.
         self.batch_seq += 1;
-        let (seq, params, n_shards) = (self.batch_seq, self.params, self.shards.len());
-        if use_parallel_fanout(
-            n_shards,
-            batch.len(),
-            self.parallel_batch_min,
-            self.pool_threads,
-        ) {
-            // Partition by subject shard into the engine-owned
-            // buffers — a subject's feedbacks stay in batch order
-            // within its partition, which is all the per-subject
-            // semantics depend on — then fan the disjoint shard
-            // slices out over the rayon pool.
-            for part in &mut self.parts {
-                part.clear();
-            }
-            for f in batch {
-                self.parts[shard_of(f.subject, n_shards)].push(*f);
-            }
-            let RocqEngine {
-                shards,
-                parts,
-                members,
-                ..
-            } = self;
-            let members: &HashSet<PeerId> = members;
-            use rayon::prelude::*;
-            shards
-                .par_iter_mut()
-                .zip(&*parts)
-                .for_each(|(shard, part)| {
-                    shard.apply_batch(&params, |r| members.contains(&r), seq, part)
-                });
-            return;
-        }
-        // Serial path (single shard, or batches too small to pay a
-        // thread-pool round trip — e.g. the community's two opinions
-        // per tick).
         let members = &self.members;
-        Self::apply_serial(
+        Self::apply_batch(
             &mut self.shards,
-            &mut self.serial_touched,
-            &params,
-            seq,
+            &mut self.touched,
+            &self.params,
+            self.batch_seq,
             batch,
             |r| members.contains(&r),
+            true,
         );
-        self.refresh_serial(true);
     }
 
     fn drain_deltas(&mut self, out: &mut Vec<ReputationDelta>) {
@@ -1991,8 +1847,7 @@ mod tests {
             e.register_peer(PeerId(p), Reputation::ONE);
         }
         streams.push(drain(&mut e));
-        // Large batch (crosses the parallel threshold on multi-shard
-        // engines) plus singleton reports.
+        // Large batch plus singleton reports.
         let batch: Vec<Feedback> = (0..600u64)
             .map(|r| Feedback::new(PeerId(r % 40), PeerId(40 + r % 60), ((r / 3) % 2) as f64))
             .collect();
@@ -2089,45 +1944,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fanout_decision() {
-        // Multi-shard, big batch, multi-core: fan out.
-        assert!(use_parallel_fanout(4, 256, 256, 8));
-        // Below the threshold: stay serial.
-        assert!(!use_parallel_fanout(4, 255, 256, 8));
-        // Single shard: nothing to partition.
-        assert!(!use_parallel_fanout(1, 10_000, 256, 8));
-        // Single-core host: the pool degrades to sequential, so the
-        // partition buffers would be pure overhead (ROADMAP "adaptive
-        // parallel threshold", first half).
-        assert!(!use_parallel_fanout(4, 10_000, 256, 1));
-        // A lowered knob admits small batches.
-        assert!(use_parallel_fanout(2, 4, 4, 2));
-    }
-
-    #[test]
-    fn parallel_batch_min_knob_does_not_change_results() {
-        // Same workload, thresholds on both sides of the batch size
-        // (and a shard count > 1 so the parallel path is reachable):
-        // byte-identical observable state.
-        let params = RocqParams {
-            crash_prob: 0.4,
-            ..Default::default()
-        };
-        let eager = exercise(RocqEngine::sharded(params, 4, 4, 7).with_parallel_batch_min(1));
-        let lazy =
-            exercise(RocqEngine::sharded(params, 4, 4, 7).with_parallel_batch_min(usize::MAX));
-        assert_eq!(eager.0, lazy.0, "delta streams diverged");
-        assert_eq!(eager.1, lazy.1, "reputations diverged");
-        assert_eq!((eager.2, eager.3), (lazy.2, lazy.3), "counters diverged");
-    }
-
-    #[test]
-    #[should_panic(expected = "parallel_batch_min must be at least 1")]
-    fn zero_parallel_batch_min_rejected() {
-        let _ = RocqEngine::new(RocqParams::default(), 6, 0).with_parallel_batch_min(0);
-    }
-
-    #[test]
     fn sharded_engine_spreads_subjects() {
         let mut e = RocqEngine::sharded(RocqParams::default(), 6, 4, 1);
         for p in 0..400u64 {
@@ -2147,53 +1963,39 @@ mod tests {
     /// allocator).
     fn scratch_capacities(e: &RocqEngine) -> Vec<usize> {
         let mut caps = vec![
-            e.serial_touched.capacity(),
+            e.touched.capacity(),
             e.drain_scratch.capacity(),
             e.drain_order.capacity(),
         ];
-        caps.extend(e.parts.iter().map(Vec::capacity));
-        for s in &e.shards {
-            caps.push(s.touched.capacity());
-            caps.push(s.deltas.capacity());
-        }
+        caps.extend(e.shards.iter().map(|s| s.deltas.capacity()));
         caps
     }
 
     #[test]
     fn steady_state_scratch_capacities_stabilise() {
-        // Both batch paths: after a warm-up batch, repeated identical
-        // batches must not grow any engine-owned buffer — the
-        // "cleared, never freed" contract, including the parallel
-        // fan-out's partition buffers (forced on regardless of the
-        // host's core count).
-        for (threshold, pool) in [(usize::MAX, 1usize), (1, 4)] {
-            let mut e = RocqEngine::sharded(RocqParams::default(), 4, 4, 9);
-            e.parallel_batch_min = threshold;
-            e.pool_threads = pool;
-            for p in 0..300u64 {
-                e.register_peer(PeerId(p), Reputation::ONE);
-            }
-            let batch: Vec<Feedback> = (0..900u64)
-                .map(|r| Feedback::new(PeerId(r % 300), PeerId((r * 7 + 1) % 300), (r % 2) as f64))
-                .collect();
-            let mut out = Vec::new();
-            for _ in 0..2 {
-                e.report_batch(&batch);
-                out.clear();
-                e.drain_deltas(&mut out);
-            }
-            let warm = scratch_capacities(&e);
-            for _ in 0..5 {
-                e.report_batch(&batch);
-                out.clear();
-                e.drain_deltas(&mut out);
-            }
-            assert_eq!(
-                warm,
-                scratch_capacities(&e),
-                "scratch grew at steady state (threshold {threshold}, pool {pool})"
-            );
+        // After a warm-up batch, repeated identical batches must not
+        // grow any engine-owned buffer — the "cleared, never freed"
+        // contract.
+        let mut e = RocqEngine::sharded(RocqParams::default(), 4, 4, 9);
+        for p in 0..300u64 {
+            e.register_peer(PeerId(p), Reputation::ONE);
         }
+        let batch: Vec<Feedback> = (0..900u64)
+            .map(|r| Feedback::new(PeerId(r % 300), PeerId((r * 7 + 1) % 300), (r % 2) as f64))
+            .collect();
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            e.report_batch(&batch);
+            out.clear();
+            e.drain_deltas(&mut out);
+        }
+        let warm = scratch_capacities(&e);
+        for _ in 0..5 {
+            e.report_batch(&batch);
+            out.clear();
+            e.drain_deltas(&mut out);
+        }
+        assert_eq!(warm, scratch_capacities(&e), "scratch grew at steady state");
     }
 
     /// Sorted `(peer, cached-aggregate bits)` fingerprint.

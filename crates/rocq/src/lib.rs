@@ -70,7 +70,7 @@ pub mod snapshot;
 pub mod state;
 
 pub use concurrent::ConcurrentEngine;
-pub use engine::{pool_threads, shard_of, ReputationEngine, RocqEngine};
+pub use engine::{shard_of, ReputationEngine, RocqEngine};
 pub use params::RocqParams;
 pub use reference::ReferenceEngine;
 pub use snapshot::SnapshotSlab;

@@ -225,9 +225,8 @@ impl RefShard {
     }
 }
 
-/// The seed-layout ROCQ engine. Always applies batches serially (the
-/// parallel fan-out is a scheduling concern, not a semantic one — the
-/// arena engine is byte-identical on either path).
+/// The seed-layout ROCQ engine, kept as the semantic oracle for the
+/// arena layout of [`RocqEngine`](crate::engine::RocqEngine).
 pub struct ReferenceEngine {
     params: RocqParams,
     num_sm: usize,

@@ -155,6 +155,9 @@ pub struct ShardState {
     pub crash_losses: u64,
 }
 
+/// The value export writes into [`EngineState::retired_batch_min`].
+pub(crate) const RETIRED_BATCH_MIN: u64 = 256;
+
 /// A full [`RocqEngine`](crate::engine::RocqEngine) snapshot.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EngineState {
@@ -164,8 +167,12 @@ pub struct EngineState {
     pub num_sm: u64,
     /// Engine seed — source of the deterministic crash rolls.
     pub seed: u64,
-    /// Smallest batch fanned out over the thread pool.
-    pub parallel_batch_min: u64,
+    /// Retired slot, kept so the positional `RLCK` encoding is
+    /// unchanged. It once held the engine's thread-pool batch
+    /// threshold; export always writes 256 (the value every
+    /// checkpoint written before the slot retired holds) and import
+    /// ignores it.
+    pub retired_batch_min: u64,
     /// Overlay ring membership in ring (ascending `NodeId`) order.
     pub ring: Vec<NodeId>,
     /// Engine-wide member registry, sorted: exactly the engine's

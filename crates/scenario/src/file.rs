@@ -1,7 +1,7 @@
 //! The `.scn` file format: [`SCENARIO_MAGIC`] followed by a
 //! version-gated [`SummaryEnvelope`] whose payload is the
 //! wire-encoded [`Scenario`] — the same magic → version → payload
-//! gating as `replend-wire`'s host-profile files, so a stale or
+//! gating as `replend-wire`'s checkpoint files, so a stale or
 //! foreign file is rejected before any payload byte is interpreted.
 //!
 //! The envelope's seed slot carries the scenario seed, purely as a

@@ -3,8 +3,8 @@
 //! the community's final aggregates.
 //!
 //! All types are serde-encodable over `replend-wire` so outcomes can
-//! cross process boundaries the same way summaries and host profiles
-//! do, and so the wire test suite can pin their encodings.
+//! cross process boundaries the same way worker summaries do, and so
+//! the wire test suite can pin their encodings.
 
 use crate::dsl::FaultAction;
 use replend_core::stats::{CommunityStats, Population};

@@ -158,8 +158,10 @@ impl Default for LendingParams {
     }
 }
 
-/// Population / workload parameters of a simulation run.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+/// Population / workload parameters of a simulation run. The encoded
+/// layout keeps a retired slot after `num_shards` (always 256), so
+/// `.scn` files written before the slot retired decode unchanged.
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SimParams {
     /// `numInit` — peers present (all cooperative) at time zero.
     pub num_init: usize,
@@ -168,15 +170,9 @@ pub struct SimParams {
     /// `numSM` — score-manager replicas per peer.
     pub num_sm: usize,
     /// Engine shards the reputation backend partitions its subject
-    /// store into (infrastructure knob, not a Table-1 parameter;
-    /// results are byte-identical for every shard count). Default 1.
+    /// store into (layout knob, not a Table-1 parameter; results are
+    /// byte-identical for every shard count). Default 1.
     pub num_shards: usize,
-    /// Smallest `report_batch` size a multi-shard engine fans out
-    /// over the thread pool; smaller batches (e.g. the per-tick two
-    /// opinions) stay serial to skip the pool round trip.
-    /// Infrastructure knob — results are byte-identical either way.
-    /// Default 256.
-    pub parallel_batch_min: usize,
     /// `λ` — Poisson arrival rate of new peers per tick.
     pub arrival_rate: f64,
     /// `f_u` — fraction of new entrants that are uncooperative.
@@ -190,6 +186,64 @@ pub struct SimParams {
     pub err_sel: f64,
     /// Interaction topology.
     pub topology: TopologyKind,
+}
+
+/// The encoded layout of [`SimParams`]. The wire format is
+/// positional and `.scn` scenario files on disk carry a `SimParams`,
+/// so the slot of the retired thread-pool batch threshold stays:
+/// encode writes [`RETIRED_BATCH_MIN`] (the value every file written
+/// before the slot retired holds) and decode ignores it.
+#[derive(Serialize, Deserialize)]
+struct SimParamsRecord {
+    num_init: usize,
+    num_trans: u64,
+    num_sm: usize,
+    num_shards: usize,
+    retired_batch_min: usize,
+    arrival_rate: f64,
+    f_uncoop: f64,
+    f_naive: f64,
+    err_sel: f64,
+    topology: TopologyKind,
+}
+
+/// The value encode writes into [`SimParamsRecord`]'s retired slot.
+const RETIRED_BATCH_MIN: usize = 256;
+
+impl Serialize for SimParams {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        let p = *self;
+        SimParamsRecord {
+            num_init: p.num_init,
+            num_trans: p.num_trans,
+            num_sm: p.num_sm,
+            num_shards: p.num_shards,
+            retired_batch_min: RETIRED_BATCH_MIN,
+            arrival_rate: p.arrival_rate,
+            f_uncoop: p.f_uncoop,
+            f_naive: p.f_naive,
+            err_sel: p.err_sel,
+            topology: p.topology,
+        }
+        .serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for SimParams {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let r = SimParamsRecord::deserialize(deserializer)?;
+        Ok(SimParams {
+            num_init: r.num_init,
+            num_trans: r.num_trans,
+            num_sm: r.num_sm,
+            num_shards: r.num_shards,
+            arrival_rate: r.arrival_rate,
+            f_uncoop: r.f_uncoop,
+            f_naive: r.f_naive,
+            err_sel: r.err_sel,
+            topology: r.topology,
+        })
+    }
 }
 
 impl SimParams {
@@ -208,11 +262,6 @@ impl SimParams {
         if self.num_shards == 0 {
             return Err(ConfigError::Inconsistent {
                 what: "num_shards must be at least 1",
-            });
-        }
-        if self.parallel_batch_min == 0 {
-            return Err(ConfigError::Inconsistent {
-                what: "parallel_batch_min must be at least 1",
             });
         }
         if !(self.arrival_rate.is_finite() && self.arrival_rate >= 0.0) {
@@ -247,7 +296,6 @@ impl Default for SimParams {
             num_trans: 500_000,
             num_sm: 6,
             num_shards: 1,
-            parallel_batch_min: 256,
             arrival_rate: 0.01,
             f_uncoop: 0.25,
             f_naive: 0.3,
@@ -341,14 +389,6 @@ impl Table1 {
     #[must_use]
     pub fn with_num_shards(mut self, n: usize) -> Self {
         self.sim.num_shards = n;
-        self
-    }
-
-    /// Builder-style update of the sharded engine's parallel batch
-    /// fan-out threshold.
-    #[must_use]
-    pub fn with_parallel_batch_min(mut self, n: usize) -> Self {
-        self.sim.parallel_batch_min = n;
         self
     }
 
@@ -467,19 +507,6 @@ mod tests {
             .is_err());
         assert!(Table1::paper_defaults()
             .with_num_shards(8)
-            .validate()
-            .is_ok());
-    }
-
-    #[test]
-    fn parallel_batch_min_defaults_and_rejects_zero() {
-        assert_eq!(Table1::paper_defaults().sim.parallel_batch_min, 256);
-        assert!(Table1::paper_defaults()
-            .with_parallel_batch_min(0)
-            .validate()
-            .is_err());
-        assert!(Table1::paper_defaults()
-            .with_parallel_batch_min(1)
             .validate()
             .is_ok());
     }

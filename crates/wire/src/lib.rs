@@ -36,12 +36,16 @@
 //! this crate's [`PROTOCOL_VERSION`]; [`SummaryEnvelope::open`]
 //! rejects a mismatch with the typed
 //! [`WireError::VersionMismatch`] *before* touching the payload.
-//! Policy: **any** change to the encoding of a type that crosses the
-//! boundary — field added/removed/reordered, width changed, variant
-//! added anywhere but the end — must bump [`PROTOCOL_VERSION`].
-//! There is no negotiation: workers are spawned by a coordinator of
-//! the same build in the intended deployment, so a mismatch means a
-//! stale binary and the right response is to fail loudly.
+//! Policy: **any** change to the encoding of a type that is written
+//! to disk — the serve layer's journal records and checkpoints, and
+//! `.scn` scenario files — or read by a different build — field added/removed/reordered, width
+//! changed, variant added anywhere but the end — must bump
+//! [`PROTOCOL_VERSION`]. A bump orphans every journal and checkpoint
+//! on disk, so a type that crosses only the worker pipe does not
+//! bump it: the coordinator spawns its workers from its own
+//! executable, so both ends of the pipe are always the same build.
+//! There is no negotiation: a mismatch means a stale binary and the
+//! right response is to fail loudly.
 //!
 //! ## Framing
 //!
@@ -77,16 +81,9 @@ use std::io::{self, Read, Write};
 /// journal records joined the boundary-crossing set.
 pub const PROTOCOL_VERSION: u32 = 2;
 
-/// The file-magic prefix of a host-calibration profile written by
-/// `replend calibrate` (see [`encode_profile`]): distinguishes a
-/// profile from arbitrary wire bytes before any decoding happens, so
-/// pointing `--profile` at the wrong file fails with a typed error
-/// instead of a garbage decode.
-pub const PROFILE_MAGIC: [u8; 4] = *b"RLPF";
-
 /// The file-magic prefix of an engine checkpoint written by the serve
 /// layer (see [`encode_checkpoint`]): distinguishes a checkpoint from
-/// arbitrary wire bytes — and from a profile — before any decoding
+/// arbitrary wire bytes before any decoding
 /// happens, so a corrupt or misrouted file fails with a typed error
 /// instead of a garbage decode.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"RLCK";
@@ -96,8 +93,9 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"RLCK";
 pub enum WireError {
     /// Input ended before the value was fully decoded.
     Eof,
-    /// The input did not start with the expected file magic (e.g.
-    /// `--profile` pointed at something that is not a profile).
+    /// The input did not start with the expected file magic (e.g. a
+    /// checkpoint path pointing at something that is not a
+    /// checkpoint).
     BadMagic,
     /// Decoding finished with this many input bytes left over.
     TrailingBytes(usize),
@@ -727,44 +725,14 @@ impl SummaryEnvelope {
 }
 
 // ---------------------------------------------------------------------------
-// Host-profile files
-// ---------------------------------------------------------------------------
-
-/// Encodes a host-calibration profile for writing to disk:
-/// [`PROFILE_MAGIC`] followed by a version-gated [`SummaryEnvelope`]
-/// tagged with the calibration seed. Generic over the payload type so
-/// this crate keeps its serde-only dependency set (the concrete
-/// `HostProfile` lives in `replend-types`).
-pub fn encode_profile<T: ?Sized + Serialize>(seed: u64, profile: &T) -> Result<Vec<u8>, WireError> {
-    let envelope = SummaryEnvelope::wrap(seed, profile)?.encode()?;
-    let mut out = Vec::with_capacity(PROFILE_MAGIC.len() + envelope.len());
-    out.extend_from_slice(&PROFILE_MAGIC);
-    out.extend_from_slice(&envelope);
-    Ok(out)
-}
-
-/// Decodes a profile file produced by [`encode_profile`], checking
-/// the magic first and the protocol version second, before any
-/// payload bytes are interpreted. Returns the calibration seed with
-/// the decoded profile.
-pub fn decode_profile<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<(u64, T), WireError> {
-    let rest = bytes
-        .strip_prefix(&PROFILE_MAGIC[..])
-        .ok_or(WireError::BadMagic)?;
-    let envelope = SummaryEnvelope::decode(rest)?;
-    Ok((envelope.seed, envelope.open()?))
-}
-
-// ---------------------------------------------------------------------------
 // Checkpoint files
 // ---------------------------------------------------------------------------
 
 /// Encodes an engine checkpoint for writing to disk:
 /// [`CHECKPOINT_MAGIC`] followed by a version-gated
 /// [`SummaryEnvelope`] tagged with the service seed. Generic over the
-/// payload type for the same reason as [`encode_profile`]: the
-/// concrete checkpoint state lives in the serve layer, this crate
-/// keeps its serde-only dependency set.
+/// payload type: the concrete checkpoint state lives in the serve
+/// layer, and this crate keeps its serde-only dependency set.
 pub fn encode_checkpoint<T: ?Sized + Serialize>(
     seed: u64,
     state: &T,
@@ -1258,43 +1226,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_files_round_trip_and_gate_magic_and_version() {
-        let payload = Record {
-            id: 11,
-            score: 0.25,
-            tags: vec![4],
-            label: Some("host".into()),
-            flag: false,
-        };
-        let bytes = encode_profile(5, &payload).unwrap();
-        assert_eq!(&bytes[..4], b"RLPF");
-        let (seed, decoded) = decode_profile::<Record>(&bytes).unwrap();
-        assert_eq!(seed, 5);
-        assert_eq!(decoded, payload);
-
-        // Not a profile file at all.
-        assert_eq!(
-            decode_profile::<Record>(b"not a profile").unwrap_err(),
-            WireError::BadMagic
-        );
-        assert_eq!(
-            decode_profile::<Record>(b"RL").unwrap_err(),
-            WireError::BadMagic
-        );
-
-        // Right magic, wrong protocol version: rejected before the
-        // payload decodes.
-        let mut stale = SummaryEnvelope::wrap(5, &payload).unwrap();
-        stale.version += 1;
-        let mut file = PROFILE_MAGIC.to_vec();
-        file.extend_from_slice(&stale.encode().unwrap());
-        assert!(matches!(
-            decode_profile::<Record>(&file),
-            Err(WireError::VersionMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn checkpoint_files_round_trip_and_gate_magic_and_version() {
         let payload = Record {
             id: 3,
@@ -1309,10 +1240,15 @@ mod tests {
         assert_eq!(seed, 42);
         assert_eq!(decoded, payload);
 
-        // A profile is not a checkpoint (and vice versa): the two
-        // magics keep the file kinds from being confused.
+        // A bare envelope is not a checkpoint: the magic comes first.
         assert_eq!(
-            decode_checkpoint::<Record>(&encode_profile(42, &payload).unwrap()).unwrap_err(),
+            decode_checkpoint::<Record>(
+                &SummaryEnvelope::wrap(42, &payload)
+                    .unwrap()
+                    .encode()
+                    .unwrap()
+            )
+            .unwrap_err(),
             WireError::BadMagic
         );
         assert_eq!(

@@ -6,9 +6,9 @@
 //!   caller's delta buffer to the workload's working set, further
 //!   identical batches must not allocate at all: the handle index and
 //!   the pair table only probe existing entries, the score-state slab
-//!   is written in place, the first-touch lists and partition buffers
-//!   are cleared-not-freed, and the drain's canonical merge sorts a
-//!   reused index buffer in place.
+//!   is written in place, the first-touch list is cleared-not-freed,
+//!   and the drain's canonical merge sorts a reused index buffer in
+//!   place.
 //! * Reading a frame whose length header is hostile allocates only
 //!   for the bytes actually present, not for the length it claims.
 //!
@@ -16,13 +16,6 @@
 //! these tests live in their own integration-test file. The counters
 //! are per thread, so tests running in parallel in this binary do not
 //! see each other's allocations.
-//!
-//! The parallel fan-out path spawns pool threads in the rayon shim
-//! (inherently allocating, and bypassed on single-core hosts
-//! anyway), so the engine test pins the serial path — the one the
-//! community's two-opinion ticks and single-core CI actually run;
-//! the parallel path's engine-owned buffers are covered by the
-//! capacity-stability test in `replend-rocq`.
 
 use replend_rocq::{ReputationEngine, RocqEngine, RocqParams};
 use replend_types::{Feedback, PeerId, Reputation};
@@ -96,12 +89,9 @@ fn hostile_frame_header_allocates_only_what_arrives() {
 #[test]
 fn steady_state_report_batch_performs_zero_allocations() {
     const SUBJECTS: u64 = 1_500;
-    // Multi-shard engine forced onto the serial path (the fan-out
-    // threshold is effectively infinite), so the test covers shard
-    // routing, per-shard first-touch dedup and the cross-shard
-    // canonical drain — everything a single-core host executes.
-    let mut engine = RocqEngine::sharded(RocqParams::default(), 6, 4, 0xA11C)
-        .with_parallel_batch_min(usize::MAX);
+    // Multi-shard engine, so the test covers shard routing, per-shard
+    // first-touch dedup and the cross-shard canonical drain.
+    let mut engine = RocqEngine::sharded(RocqParams::default(), 6, 4, 0xA11C);
     for p in 0..SUBJECTS {
         engine.register_peer(PeerId(p), Reputation::ONE);
     }

@@ -22,9 +22,15 @@
 //! these bytes unchanged, or bump the `RLCK` version. Regenerate them
 //! only for an intended format change, with
 //! `cargo test -p replend-tests --test checkpoint_golden -- --ignored`.
+//!
+//! The goldens also seed the corruption tests: the envelope carries no
+//! checksum, so a flipped, overwritten or truncated partition blob
+//! must decode and import to `Ok` or `Err` — never a panic or an
+//! allocation sized by a corrupt field.
 
+use proptest::prelude::*;
 use replend_core::serve::{checkpoint_path, ReputationService, ServeConfig, StatusPolicy};
-use replend_rocq::state::PartitionCheckpoint;
+use replend_rocq::state::{InvalidState, PartitionCheckpoint};
 use replend_rocq::{shard_of, ConcurrentEngine, RocqParams};
 use replend_types::{Feedback, PeerId, Reputation};
 use serde::{Deserialize, Serialize};
@@ -197,6 +203,84 @@ fn checkpoint_bytes_match_golden_and_round_trip() {
             shards().any(|s| s.book_reporters.contains(&PeerId(4))),
             "{name}: the re-joined reporter's credibility rows survive"
         );
+    }
+}
+
+/// The partition blobs of golden `name`.
+fn golden_blobs(name: &str) -> Vec<Vec<u8>> {
+    let golden = std::fs::read(golden_path(name)).unwrap();
+    replend_wire::decode_checkpoint::<CheckpointDoc>(&golden)
+        .unwrap()
+        .1
+        .partitions
+}
+
+/// Decodes and imports partition blobs the way the serve layer's
+/// restore does; `None` when a blob fails to decode.
+fn import_blobs(blobs: &[Vec<u8>]) -> Option<Result<ConcurrentEngine, InvalidState>> {
+    let parts: Vec<PartitionCheckpoint> = blobs
+        .iter()
+        .map(|blob| replend_wire::from_bytes(blob).ok())
+        .collect::<Option<_>>()?;
+    Some(ConcurrentEngine::import_partitions(&parts))
+}
+
+/// One flipped bit in a partition's numSM (1 → 2^62 + 1) wraps
+/// `8 slots × numSM` back to 8 lanes, so a length check alone passes
+/// it. Import must refuse it instead of pushing 2^62 lanes.
+#[test]
+fn golden_num_sm_bit_flip_is_invalid_state() {
+    let blobs = golden_blobs("checkpoint_sm1.rlck");
+    let part: PartitionCheckpoint = replend_wire::from_bytes(&blobs[2]).unwrap();
+    assert_eq!(part.engine.num_sm, 1);
+    // numSM is the u64 right after the params in the positional layout.
+    let at = replend_wire::to_bytes(&part.engine.params).unwrap().len() + 7;
+    let flip = |blob: &mut Vec<u8>| blob[at] ^= 1 << 6;
+
+    let mut one = blobs.clone();
+    flip(&mut one[2]);
+    let flipped: PartitionCheckpoint = replend_wire::from_bytes(&one[2]).unwrap();
+    assert_eq!(flipped.engine.num_sm, (1 << 62) + 1);
+    assert!(matches!(import_blobs(&one), Some(Err(_))), "one partition");
+
+    // The same flip in every partition passes the cross-partition
+    // agreement check; the lane count must still be refused.
+    let mut all = blobs;
+    all.iter_mut().for_each(flip);
+    assert!(
+        matches!(import_blobs(&all), Some(Err(_))),
+        "every partition"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+    /// Flipped bits, overwritten bytes and truncations anywhere in a
+    /// golden's partition blobs decode and import to `Ok` or `Err`.
+    #[test]
+    fn mutated_golden_partitions_never_panic(
+        case in 0..CASES.len(),
+        part in 0..PARTITIONS,
+        edits in proptest::collection::vec(
+            (0u8..3, proptest::num::u64::ANY, proptest::num::u8::ANY),
+            1..4,
+        ),
+    ) {
+        let mut blobs = golden_blobs(CASES[case].1);
+        let blob = &mut blobs[part];
+        for (kind, at, byte) in edits {
+            if blob.is_empty() {
+                break;
+            }
+            let i = (at % blob.len() as u64) as usize;
+            match kind {
+                0 => blob[i] ^= 1 << (byte % 8),
+                1 => blob[i] = byte,
+                _ => blob.truncate(i),
+            }
+        }
+        let _ = import_blobs(&blobs);
     }
 }
 

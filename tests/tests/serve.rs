@@ -558,3 +558,88 @@ fn checkpoints_compose_across_generations() {
     assert_eq!(fingerprint(&finale), fingerprint(&reference));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The bytes of a small journal holding every op kind, written once
+/// per test binary.
+fn mutation_journal(config: ServeConfig) -> &'static [u8] {
+    static JOURNAL: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    JOURNAL.get_or_init(|| {
+        let path = std::env::temp_dir().join(format!(
+            "replend-serve-mutation-src-{}.wal",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        {
+            let (service, _) = ReputationService::open(config, &path).expect("open");
+            let mut ops = vec![
+                JournalOp::RegisterBatch {
+                    batch: (0..12).map(|p| (PeerId(p), 0.5)).collect(),
+                },
+                JournalOp::Register {
+                    peer: PeerId(12),
+                    initial: 0.25,
+                },
+            ];
+            ops.extend(
+                op_stream(5, 13, 3, 6)
+                    .into_iter()
+                    .map(|batch| JournalOp::Batch { batch }),
+            );
+            ops.push(JournalOp::Credit {
+                subject: PeerId(1),
+                amount: 0.125,
+            });
+            ops.push(JournalOp::Debit {
+                subject: PeerId(2),
+                amount: 0.25,
+            });
+            ops.push(JournalOp::Remove { peer: PeerId(3) });
+            for op in &ops {
+                issue(&service, op);
+            }
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        bytes
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+    /// Journal decoding is total: a journal with flipped bits,
+    /// overwritten bytes or a truncation opens to `Ok` or a typed
+    /// `Err`, never a panic.
+    #[test]
+    fn mutated_journal_opens_or_fails_typed(
+        edits in proptest::collection::vec(
+            (0u8..3, proptest::num::u64::ANY, proptest::num::u8::ANY),
+            1..4,
+        ),
+    ) {
+        let config = ServeConfig {
+            partitions: 2,
+            seed: 0x5EED,
+            ..ServeConfig::default()
+        };
+        let mut bytes = mutation_journal(config).to_vec();
+        for (kind, at, byte) in edits {
+            if bytes.is_empty() {
+                break;
+            }
+            let i = (at % bytes.len() as u64) as usize;
+            match kind {
+                0 => bytes[i] ^= 1 << (byte % 8),
+                1 => bytes[i] = byte,
+                _ => bytes.truncate(i),
+            }
+        }
+        let path = std::env::temp_dir().join(format!(
+            "replend-serve-mutated-{}.wal",
+            std::process::id()
+        ));
+        std::fs::write(&path, &bytes).unwrap();
+        let _ = ReputationService::open(config, &path);
+        let _ = std::fs::remove_file(&path);
+    }
+}

@@ -118,7 +118,6 @@ fn any_sim_params() -> impl Strategy<Value = SimParams> {
         proptest::num::u64::ANY,
         proptest::num::usize::ANY,
         proptest::num::usize::ANY,
-        proptest::num::usize::ANY,
         proptest::num::f64::ANY,
         proptest::num::f64::ANY,
         proptest::num::f64::ANY,
@@ -131,7 +130,6 @@ fn any_sim_params() -> impl Strategy<Value = SimParams> {
                 num_trans,
                 num_sm,
                 num_shards,
-                parallel_batch_min,
                 arrival_rate,
                 f_uncoop,
                 f_naive,
@@ -142,7 +140,6 @@ fn any_sim_params() -> impl Strategy<Value = SimParams> {
                 num_trans,
                 num_sm,
                 num_shards,
-                parallel_batch_min,
                 arrival_rate,
                 f_uncoop,
                 f_naive,
