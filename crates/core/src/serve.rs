@@ -712,12 +712,28 @@ impl ReputationService {
                 Err(_) => return Ok(None),
             }
         }
-        match ConcurrentEngine::import_partitions(&parts) {
-            Ok(engine) => Ok(Some((engine, doc.generation, doc.ops))),
+        let engine = match ConcurrentEngine::import_partitions(&parts) {
+            Ok(engine) => engine,
             // Well-framed but semantically invalid state — treat as
             // corrupt and fall back.
-            Err(_) => Ok(None),
+            Err(_) => return Ok(None),
+        };
+        // The import checked that the partitions agree with each
+        // other; they must also agree with the config, or the restored
+        // state would differ from a replay of the journal alone.
+        let state = &parts[0].engine;
+        if state.num_sm != config.num_sm as u64 || state.params != config.params {
+            return Err(ServeError::Checkpoint(format!(
+                "checkpoint {} was taken with numSM {} and {:?}, config asks for \
+                 numSM {} and {:?}: engine parameters cannot change across a restore",
+                path.display(),
+                state.num_sm,
+                state.params,
+                config.num_sm,
+                config.params
+            )));
         }
+        Ok(Some((engine, doc.generation, doc.ops)))
     }
 
     /// The engine seed (and journal seed stamp).
@@ -1613,6 +1629,74 @@ mod tests {
             assert_eq!(summary.records, 2, "{label}");
             assert_eq!(fingerprint(&reopened), fingerprint(&reference), "{label}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint whose partitions agree with each other but not
+    /// with the config — a reopen with another numSM or other params,
+    /// or all-empty partitions that agree on a corrupt numSM — is
+    /// refused by name: restoring it would keep the checkpoint's
+    /// engine shape, while a replay of the journal alone would use the
+    /// config's.
+    #[test]
+    fn checkpoint_disagreeing_with_config_is_refused() {
+        let dir = scratch("ckpt-config");
+        let refused =
+            |cfg: ServeConfig, path: &Path, label: &str| match ReputationService::open(cfg, path) {
+                Err(ServeError::Checkpoint(m)) => {
+                    assert!(m.contains("cannot change across a restore"), "{label}: {m}")
+                }
+                Err(e) => panic!("{label}: wrong error {e}"),
+                Ok(_) => panic!("{label}: restored a checkpoint that disagrees with the config"),
+            };
+
+        let path = dir.join("svc.journal");
+        {
+            let (service, _) = ReputationService::open(config(), &path).unwrap();
+            run_ingest_workload(&service, small_workload(41)).unwrap();
+            service.checkpoint().unwrap();
+        }
+        let fewer = ServeConfig {
+            num_sm: 3,
+            ..config()
+        };
+        refused(fewer, &path, "numSM 6 -> 3");
+        let other_params = ServeConfig {
+            params: RocqParams {
+                gamma: config().params.gamma / 2.0,
+                ..config().params
+            },
+            ..config()
+        };
+        refused(other_params, &path, "other params");
+        let (_, summary) = ReputationService::open(config(), &path).unwrap();
+        assert!(
+            summary.restored_from_checkpoint(),
+            "matching config restores"
+        );
+
+        // Every partition empty and agreeing on numSM 7: no subject
+        // ties the value down, so only the config can refuse it.
+        let empty = dir.join("empty.journal");
+        {
+            let (service, _) = ReputationService::open(config(), &empty).unwrap();
+            service.checkpoint().unwrap();
+        }
+        let (seed, mut doc) =
+            decode_checkpoint::<CheckpointDoc>(&std::fs::read(checkpoint_path(&empty)).unwrap())
+                .unwrap();
+        for blob in &mut doc.partitions {
+            let mut part: PartitionCheckpoint = replend_wire::from_bytes(blob).unwrap();
+            assert!(part.slab.is_empty());
+            part.engine.num_sm = 7;
+            *blob = replend_wire::to_bytes(&part).unwrap();
+        }
+        std::fs::write(
+            checkpoint_path(&empty),
+            encode_checkpoint(seed, &doc).unwrap(),
+        )
+        .unwrap();
+        refused(config(), &empty, "all-empty partitions at numSM 7");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

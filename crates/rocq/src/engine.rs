@@ -43,33 +43,49 @@
 //! `replend-tests` against the [`reference`](crate::reference)
 //! layout).
 //!
-//! The arrays split **hot from cold**. The `report_batch` inner loop
-//! touches only: the handle index; the shard's pair table (the
-//! private `pairs` module), where one hash probe on `(reporter,
-//! subject handle)` yields the pair's interaction count *and* the
-//! reporter's credibility at **every** replica slot — the reference
-//! layout pays a count probe plus three probes per replica; and the
-//! contiguous `numSM`-strided score slab, a struct-of-arrays
-//! [`ScoreSlab`] walked by hand-unrolled multi-lane kernels (see the
-//! [`slab`](crate::slab) module docs for the layout and the
-//! determinism rule). The cache refresh then walks the same slab plus
-//! the `cached`/`marks` arrays. Replica placement metadata (ring
-//! keys, hosts, re-homing counters) is cold and only
-//! touched by churn.
+//! The arrays split **hot from cold**. The batch path touches only:
+//! the handle index; the shard's pair table (the private `pairs`
+//! module), where one hash probe on `(reporter, subject handle)`
+//! yields the pair's interaction count *and* the reporter's
+//! credibility at **every** replica slot — the reference layout pays
+//! a count probe plus three probes per replica; and the contiguous
+//! `numSM`-strided score slab, a struct-of-arrays [`ScoreSlab`] walked
+//! by hand-unrolled multi-lane kernels (see the [`slab`](crate::slab)
+//! module docs for the layout and the determinism rule). The cache
+//! refresh then walks the same slab plus the `cached`/`marks` arrays.
+//! Replica placement metadata (ring keys, hosts, re-homing counters)
+//! is cold and only touched by churn.
+//!
+//! The batch path is **staged**: it runs over the whole batch once
+//! per kind of memory access instead of once per opinion. A resolve
+//! pass (read-only) looks up every opinion's reporter membership and
+//! subject handle; a probe pass finds or creates every pair record;
+//! an apply pass bumps each record's count and folds the opinion into
+//! the subject's lanes; a refresh pass recomputes each touched
+//! subject's aggregate. Each pass is a short loop of independent
+//! lookups, so the core keeps several cache misses in flight where a
+//! fused per-opinion loop waited out each opinion's misses before
+//! issuing the next's. Every pass walks the batch in order, so pair
+//! records are created, and each subject's lanes and each pair's
+//! count see their opinions, in exactly the order of a one-at-a-time
+//! fold; [`ReputationEngine::report`] is a one-opinion batch.
 //!
 //! ## Membership
 //!
-//! An opinion applies only when its reporter is a member. The shard
-//! batch path takes the membership test as a predicate: the engine
-//! passes its own member set, and
-//! [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine), whose
-//! partitions each hold only their own subjects, passes a lock-free
-//! probe of the reporter's home partition's read slab.
+//! An opinion applies only when its reporter is a member. There is no
+//! member set: a peer is a member exactly when its home shard's
+//! subject index holds it. The batch path's resolve pass takes the
+//! membership test as a predicate and borrows every shard immutably,
+//! so the engine passes a probe of the reporter's home shard index,
+//! and [`ConcurrentEngine`](crate::concurrent::ConcurrentEngine),
+//! whose partitions each hold only their own subjects, passes a
+//! lock-free probe of the reporter's home partition's read slab.
 //!
 //! ## Allocation-free steady state
 //!
-//! Every buffer the batch path needs — the first-touch (`touched`)
-//! list, the delta buffers and the canonical-merge scratch of
+//! Every buffer the batch path needs — the resolved-opinion
+//! (`staged`) and first-touch (`touched`) lists, the delta buffers
+//! and the canonical-merge scratch of
 //! [`ReputationEngine::drain_deltas`] — is owned by the engine and
 //! *cleared, never freed*. Once the buffers and hash tables have
 //! grown to the workload's working set, a steady-state
@@ -94,7 +110,7 @@ use replend_dht::ring::{HandoffEvent, Ring};
 use replend_types::arena::{Handle, InlineList, SlotAlloc, SlotAllocator};
 use replend_types::hash::{salted, splitmix64};
 use replend_types::{Feedback, NodeId, PeerId, Reputation, ReputationDelta};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// Abstract reputation backend.
 ///
@@ -268,6 +284,18 @@ pub(crate) struct Applied {
     pub(crate) reports: u32,
 }
 
+/// One opinion of the batch being applied, as the resolve pass left
+/// it: its position in the batch (a `u32`: a batch of 2^32 opinions
+/// would not fit in memory) and its subject's shard and handle. The
+/// probe pass fills in the pair record.
+#[derive(Clone, Copy, Debug)]
+struct Staged {
+    item: u32,
+    home: u32,
+    subject: Handle,
+    record: u32,
+}
+
 /// One partition of the engine state: the subjects whose
 /// `PeerId → shard` hash lands here, stored as a dense slot arena
 /// (see the module docs for the layout).
@@ -398,45 +426,6 @@ impl EngineShard {
         }
     }
 
-    /// Applies one opinion from a member `reporter` to `subject`'s
-    /// replicas *without* refreshing the cached aggregate (shared by
-    /// [`report`] and the batch paths, which refresh at different
-    /// granularities). The caller has checked membership: the
-    /// reporter may live in another shard or partition.
-    ///
-    /// Returns the subject's handle, or `None` when the subject is
-    /// unknown.
-    ///
-    /// [`report`]: ReputationEngine::report
-    #[inline]
-    fn apply_report(
-        &mut self,
-        params: &RocqParams,
-        reporter: PeerId,
-        subject: PeerId,
-        opinion: f64,
-    ) -> Option<Handle> {
-        let &h = self.index.get(&subject)?;
-        let base = h.index() * self.num_sm;
-        let gamma = self.pairs.gamma();
-        let (n, row) = self.pairs.record(reporter, h);
-        let q = quality_from_count(n, params.eta, params.min_quality);
-        // The fused multi-lane report + credibility kernel (see
-        // [`ScoreSlab::report_span`]) — bit-identical to the scalar
-        // per-replica walk it replaced.
-        self.slab.report_span(
-            base,
-            self.num_sm,
-            row,
-            opinion,
-            q,
-            gamma,
-            params.agreement_threshold,
-            params.weight_cap,
-        );
-        Some(h)
-    }
-
     /// Refreshes `subject`'s cached aggregate, emitting a delta when
     /// it moved.
     fn refresh_cache(&mut self, h: Handle) {
@@ -492,31 +481,6 @@ impl EngineShard {
             let new = self.slab.aggregate_span(h.index() * sm, sm);
             self.finish_refresh(h, new, emit);
         }
-    }
-
-    /// Applies one batch feedback, returning the subject's handle
-    /// when this is its first touch in batch `seq` — the caller owes
-    /// it one cache refresh after the whole batch. Every applied
-    /// opinion is counted in the subject's [`BatchMark`].
-    #[inline]
-    fn apply_batch_item(
-        &mut self,
-        params: &RocqParams,
-        is_member: impl Fn(PeerId) -> bool,
-        seq: u64,
-        f: &Feedback,
-    ) -> Option<Handle> {
-        if !is_member(f.reporter) {
-            return None;
-        }
-        let h = self.apply_report(params, f.reporter, f.subject, f.opinion)?;
-        let mark = &mut self.marks[h.index()];
-        if mark.seq == seq {
-            mark.applied += 1;
-            return None;
-        }
-        *mark = BatchMark { seq, applied: 1 };
-        Some(h)
     }
 
     /// Live subjects homed in this shard (shard-balance tests).
@@ -978,12 +942,11 @@ pub struct RocqEngine {
     seed: u64,
     ring: Ring,
     shards: Vec<EngineShard>,
-    /// Engine-wide subject registry: membership checks must see peers
-    /// in *other* shards (any member may report on any subject).
-    members: HashSet<PeerId>,
     /// Monotonic id of the current `report_batch` call.
     batch_seq: u64,
     // ---- reusable steady-state scratch (cleared, never freed) ----
+    /// The kept opinions of the batch path, resolved and probed.
+    staged: Vec<Staged>,
     /// First-touch `(shard, handle)` list of the batch path.
     touched: Vec<(u32, Handle)>,
     /// Gather buffer of [`ReputationEngine::drain_deltas`].
@@ -1019,8 +982,8 @@ impl RocqEngine {
             shards: (0..num_shards)
                 .map(|_| EngineShard::new(&params, num_sm))
                 .collect(),
-            members: HashSet::new(),
             batch_seq: 0,
+            staged: Vec::new(),
             touched: Vec::new(),
             drain_scratch: Vec::new(),
             drain_order: Vec::new(),
@@ -1031,6 +994,28 @@ impl RocqEngine {
     #[inline]
     fn shard_of(&self, peer: PeerId) -> usize {
         shard_of(peer, self.shards.len())
+    }
+
+    /// True when `peer` is registered: a probe of its home shard's
+    /// subject index, which is the engine's only member registry. A
+    /// function over the shards so the batch path's resolve pass can
+    /// call it while it borrows them.
+    #[inline]
+    fn is_registered(shards: &[EngineShard], peer: PeerId) -> bool {
+        shards[shard_of(peer, shards.len())]
+            .index
+            .contains_key(&peer)
+    }
+
+    /// Every registered peer, in ascending order.
+    fn sorted_members(&self) -> Vec<PeerId> {
+        let mut members: Vec<PeerId> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.index.keys().copied())
+            .collect();
+        members.sort_unstable();
+        members
     }
 
     /// The engine parameters.
@@ -1142,8 +1127,7 @@ impl RocqEngine {
     /// ([`ReputationEngine::drain_deltas`]); they are a transient
     /// hand-off to the accounting layer, not durable state.
     pub fn export_state(&self) -> EngineState {
-        let mut members: Vec<PeerId> = self.members.iter().copied().collect();
-        members.sort_unstable();
+        let members = self.sorted_members();
         let ring = self.ring.to_vec();
         EngineState {
             params: self.params,
@@ -1164,7 +1148,7 @@ impl RocqEngine {
     /// aborting.
     pub fn import_state(state: &EngineState) -> Result<Self, InvalidState> {
         let engine = Self::import_arena(state)?;
-        if !engine.members_are(&state.members) {
+        if engine.sorted_members() != state.members {
             return Err(InvalidState(
                 "member registry disagrees with the subject index".into(),
             ));
@@ -1172,17 +1156,9 @@ impl RocqEngine {
         Ok(engine)
     }
 
-    /// True when `members` lists exactly this engine's members, in
-    /// strictly ascending order (the export's canonical form).
-    fn members_are(&self, members: &[PeerId]) -> bool {
-        members.len() == self.members.len()
-            && members.windows(2).all(|w| w[0] < w[1])
-            && members.iter().all(|p| self.members.contains(p))
-    }
-
-    /// [`RocqEngine::import_state`] without the member-registry check:
-    /// the member set is rebuilt from the shards' subject indexes.
-    /// The concurrent facade checks its hoisted registry against the
+    /// [`RocqEngine::import_state`] without the member-registry check
+    /// (membership is the union of the shards' subject indexes). The
+    /// concurrent facade checks its hoisted registry against the
     /// union of its partitions instead.
     pub(crate) fn import_arena(state: &EngineState) -> Result<Self, InvalidState> {
         state
@@ -1213,37 +1189,103 @@ impl RocqEngine {
             {
                 return Err(InvalidState("subject homed in a foreign shard".into()));
             }
-            engine.members.extend(shard.index.keys());
         }
         Ok(engine)
     }
 
-    /// The batch path as batch `seq`: applies every feedback whose
-    /// reporter passes `is_member` to its subject's shard in batch
-    /// order, collecting first touches in `touched` (reused across
-    /// calls), then refreshes each touched subject's cached aggregate
-    /// once — one run of consecutive same-shard touches at a time
-    /// through the multi-chain aggregate kernel (a single-shard engine
-    /// is one run). Run order equals first-touch order, so the delta
-    /// stream (with `emit`) is identical to a one-at-a-time sweep. A
-    /// function over the engine's fields so the predicate can borrow
-    /// the member set.
-    fn apply_batch(
-        shards: &mut [EngineShard],
-        touched: &mut Vec<(u32, Handle)>,
-        params: &RocqParams,
-        seq: u64,
+    /// The batch path's resolve pass: records in `staged` (reused
+    /// across calls) every opinion whose reporter passes `is_member`
+    /// and whose subject is registered, with the subject's shard and
+    /// handle. Read-only, so every lookup is independent of the last
+    /// and the core overlaps their cache misses. A function over the
+    /// engine's fields so the predicate can borrow the shards.
+    fn resolve(
+        shards: &[EngineShard],
+        staged: &mut Vec<Staged>,
         batch: &[Feedback],
         is_member: impl Fn(PeerId) -> bool,
-        emit: bool,
     ) {
-        touched.clear();
-        for f in batch {
+        staged.clear();
+        for (item, f) in batch.iter().enumerate() {
+            if !is_member(f.reporter) {
+                continue;
+            }
             let home = shard_of(f.subject, shards.len());
-            if let Some(h) = shards[home].apply_batch_item(params, &is_member, seq, f) {
-                touched.push((home as u32, h));
+            if let Some(&subject) = shards[home].index.get(&f.subject) {
+                staged.push(Staged {
+                    item: item as u32,
+                    home: home as u32,
+                    subject,
+                    record: 0,
+                });
             }
         }
+    }
+
+    /// The rest of the batch path, over the opinions [`Self::resolve`]
+    /// kept, as one batch:
+    ///
+    /// 1. *probe*: finds or creates each opinion's pair record, in
+    ///    batch order (so records are created in opinion order);
+    /// 2. *apply*: bumps each record's count and folds the opinion
+    ///    into the subject's lanes with the fused
+    ///    [`ScoreSlab::report_span`] kernel, in batch order, counting
+    ///    it in the subject's [`BatchMark`] and collecting first
+    ///    touches in `touched`;
+    /// 3. *refresh*: refreshes each touched subject's cached aggregate
+    ///    once — one run of consecutive same-shard touches at a time
+    ///    through the multi-chain aggregate kernel (a single-shard
+    ///    engine is one run).
+    ///
+    /// Membership and handles cannot change inside a batch, and each
+    /// subject's lanes and each pair's record see their opinions in
+    /// batch order, so the result is bit-identical to folding one
+    /// opinion at a time; splitting the passes only lets each one
+    /// keep several cache misses in flight. Run order equals
+    /// first-touch order, so the delta stream (with `emit`) is
+    /// identical to a one-at-a-time sweep.
+    fn apply_staged(&mut self, batch: &[Feedback], emit: bool) {
+        self.batch_seq += 1;
+        let seq = self.batch_seq;
+        let RocqEngine {
+            params,
+            shards,
+            staged,
+            touched,
+            ..
+        } = self;
+        // Probe.
+        for s in staged.iter_mut() {
+            let reporter = batch[s.item as usize].reporter;
+            s.record = shards[s.home as usize].pairs.record_of(reporter, s.subject);
+        }
+        // Apply.
+        touched.clear();
+        for s in staged.iter() {
+            let shard = &mut shards[s.home as usize];
+            let sm = shard.num_sm;
+            let gamma = shard.pairs.gamma();
+            let (n, row) = shard.pairs.bump(s.record);
+            let q = quality_from_count(n, params.eta, params.min_quality);
+            shard.slab.report_span(
+                s.subject.index() * sm,
+                sm,
+                row,
+                batch[s.item as usize].opinion,
+                q,
+                gamma,
+                params.agreement_threshold,
+                params.weight_cap,
+            );
+            let mark = &mut shard.marks[s.subject.index()];
+            if mark.seq == seq {
+                mark.applied += 1;
+            } else {
+                *mark = BatchMark { seq, applied: 1 };
+                touched.push((s.home, s.subject));
+            }
+        }
+        // Refresh.
         for run in touched.chunk_by(|a, b| a.0 == b.0) {
             shards[run[0].0 as usize].refresh_run(run, |(_, h)| h, emit);
         }
@@ -1262,16 +1304,8 @@ impl RocqEngine {
         is_member: impl Fn(PeerId) -> bool,
         out: &mut Vec<Applied>,
     ) {
-        self.batch_seq += 1;
-        Self::apply_batch(
-            &mut self.shards,
-            &mut self.touched,
-            &self.params,
-            self.batch_seq,
-            batch,
-            is_member,
-            false,
-        );
+        Self::resolve(&self.shards, &mut self.staged, batch, is_member);
+        self.apply_staged(batch, false);
         out.extend(self.touched.iter().map(|&(home, h)| {
             let shard = &self.shards[home as usize];
             Applied {
@@ -1285,7 +1319,7 @@ impl RocqEngine {
 
 impl ReputationEngine for RocqEngine {
     fn register_peer(&mut self, peer: PeerId, initial: Reputation) {
-        if self.members.contains(&peer) {
+        if self.contains(peer) {
             return;
         }
         // The peer becomes an overlay node first (it may end up
@@ -1336,17 +1370,15 @@ impl ReputationEngine for RocqEngine {
         }
         shard.cached[h.index()] = shard.slab.aggregate_span(base, num_sm);
         shard.index.insert(peer, h);
-        self.members.insert(peer);
     }
 
     fn remove_peer(&mut self, peer: PeerId) {
-        if !self.members.remove(&peer) {
-            return;
-        }
         let num_sm = self.num_sm;
         let home = self.shard_of(peer);
         let shard = &mut self.shards[home];
-        let h = shard.index.remove(&peer).expect("registry and shard agree");
+        let Some(h) = shard.index.remove(&peer) else {
+            return;
+        };
         let base = h.index() * num_sm;
         for slot in 0..num_sm {
             let key = shard.meta[base + slot].key;
@@ -1372,18 +1404,11 @@ impl ReputationEngine for RocqEngine {
     }
 
     fn contains(&self, peer: PeerId) -> bool {
-        self.members.contains(&peer)
+        Self::is_registered(&self.shards, peer)
     }
 
     fn report(&mut self, reporter: PeerId, subject: PeerId, opinion: f64) {
-        if !self.members.contains(&reporter) {
-            return;
-        }
-        let (params, home) = (self.params, self.shard_of(subject));
-        let shard = &mut self.shards[home];
-        if let Some(h) = shard.apply_report(&params, reporter, subject, opinion) {
-            shard.refresh_cache(h);
-        }
+        self.report_batch(&[Feedback::new(reporter, subject, opinion)]);
     }
 
     fn reputation(&self, subject: PeerId) -> Option<Reputation> {
@@ -1417,21 +1442,15 @@ impl ReputationEngine for RocqEngine {
     }
 
     fn report_batch(&mut self, batch: &[Feedback]) {
-        // Apply every opinion in order (bit-identical to sequential
-        // `report` calls), but refresh each touched subject's cached
+        // Apply every opinion in order (bit-identical to folding them
+        // one at a time), but refresh each touched subject's cached
         // aggregate only once — the per-subject batch mark makes the
         // dedup O(1) regardless of batch size.
-        self.batch_seq += 1;
-        let members = &self.members;
-        Self::apply_batch(
-            &mut self.shards,
-            &mut self.touched,
-            &self.params,
-            self.batch_seq,
-            batch,
-            |r| members.contains(&r),
-            true,
-        );
+        let shards = &self.shards;
+        Self::resolve(shards, &mut self.staged, batch, |r| {
+            Self::is_registered(shards, r)
+        });
+        self.apply_staged(batch, true);
     }
 
     fn drain_deltas(&mut self, out: &mut Vec<ReputationDelta>) {
@@ -1760,16 +1779,20 @@ mod tests {
 
     #[test]
     fn batched_reports_match_sequential() {
-        let batch: Vec<Feedback> = (0..40u64)
+        // `report` is itself a one-opinion batch, so the sequential
+        // side is the reference layout's per-opinion fold. The batch
+        // repeats every (reporter, subject) pair eight times, enough
+        // for the count to lift the quality off its floor, so the
+        // order of count increments inside one batch is checked too.
+        let batch: Vec<Feedback> = (0..120u64)
             .map(|r| Feedback::new(PeerId(r % 5), PeerId(5 + r % 3), (r % 2) as f64))
             .collect();
 
-        let mut seq = engine();
+        let mut seq = crate::reference::ReferenceEngine::new(RocqParams::default(), 6, 42);
         let mut bat = engine();
-        for e in [&mut seq, &mut bat] {
-            for p in 0..10u64 {
-                e.register_peer(PeerId(p), Reputation::ONE);
-            }
+        for p in 0..10u64 {
+            seq.register_peer(PeerId(p), Reputation::ONE);
+            bat.register_peer(PeerId(p), Reputation::ONE);
         }
         for f in &batch {
             seq.report(f.reporter, f.subject, f.opinion);
@@ -1963,6 +1986,7 @@ mod tests {
     /// allocator).
     fn scratch_capacities(e: &RocqEngine) -> Vec<usize> {
         let mut caps = vec![
+            e.staged.capacity(),
             e.touched.capacity(),
             e.drain_scratch.capacity(),
             e.drain_order.capacity(),

@@ -23,6 +23,18 @@
 //! * a free list, so records vacated by removed subjects are reused
 //!   and the arrays stay dense under churn.
 //!
+//! The probe and the fold are separate calls. [`PairTable::record_of`]
+//! finds or creates the record and returns its number;
+//! [`PairTable::bump`] takes that number, counts the interaction and
+//! hands back the pre-increment count and the credibility row. The
+//! engine's batch path probes every opinion of a batch first and
+//! folds them afterwards, so the hash probes of a batch overlap
+//! instead of each waiting on the previous opinion's fold. That is
+//! sound because a record's number is stable while the record lives
+//! (only subject removal frees records, never inside a batch), and
+//! the probes still run in opinion order, so records are created in
+//! the same order as by a fused probe-and-fold.
+//!
 //! Departure semantics match the reference layout exactly: when a
 //! **reporter** departs, its counts are forgotten
 //! ([`PairTable::forget_reporter`] zeroes them) but its records stay,
@@ -99,9 +111,12 @@ impl PairTable {
     }
 
     /// The record of `(reporter, h)`, created at count 0 and initial
-    /// credibility when absent. One hash probe.
+    /// credibility when absent. One hash probe. Records are never
+    /// renumbered while they live, so the batch path probes every
+    /// opinion first and folds them afterwards through
+    /// [`PairTable::bump`].
     #[inline]
-    fn record_of(&mut self, reporter: PeerId, h: Handle) -> usize {
+    pub(crate) fn record_of(&mut self, reporter: PeerId, h: Handle) -> u32 {
         let PairTable {
             initial,
             stride,
@@ -136,16 +151,16 @@ impl PairTable {
             };
             head[h.index()] = r;
             r
-        }) as usize
+        })
     }
 
-    /// Records one more interaction of `reporter` with subject `h`:
-    /// returns the count *before* the increment (the evidence behind
-    /// the current opinion) and the pair's mutable per-slot
-    /// credibility row.
+    /// Records one more interaction on record `r` (from
+    /// [`PairTable::record_of`]): returns the count *before* the
+    /// increment (the evidence behind the current opinion) and the
+    /// pair's mutable per-slot credibility row. No hash probe.
     #[inline]
-    pub(crate) fn record(&mut self, reporter: PeerId, h: Handle) -> (u32, &mut [f64]) {
-        let i = self.record_of(reporter, h);
+    pub(crate) fn bump(&mut self, r: u32) -> (u32, &mut [f64]) {
+        let i = r as usize;
         let before = self.count[i];
         self.count[i] = before.saturating_add(1);
         (
@@ -244,7 +259,7 @@ impl PairTable {
         if self.index.contains_key(&(reporter, h)) {
             return false;
         }
-        let i = self.record_of(reporter, h);
+        let i = self.record_of(reporter, h) as usize;
         self.cred[i * self.stride..(i + 1) * self.stride].copy_from_slice(row);
         true
     }
@@ -267,10 +282,16 @@ mod tests {
     use super::*;
     use crate::credibility::{credibility_update, CredibilityTable};
 
+    /// One interaction of `reporter` with `h`: probe, then bump.
+    fn record(t: &mut PairTable, reporter: PeerId, h: Handle) -> (u32, &mut [f64]) {
+        let r = t.record_of(reporter, h);
+        t.bump(r)
+    }
+
     /// Applies the credibility rule to every slot of the pair's row.
     fn update_row(t: &mut PairTable, reporter: PeerId, h: Handle, agreed: bool) {
         let gamma = t.gamma();
-        for c in t.record(reporter, h).1 {
+        for c in record(t, reporter, h).1 {
             *c = credibility_update(*c, agreed, gamma);
         }
     }
@@ -289,10 +310,10 @@ mod tests {
         let (a, h) = (PeerId(1), Handle::from_index(2));
         assert_eq!(t.credibility(a, h, 0), 0.5);
         assert_eq!(t.known_reporters(h), 0);
-        let (n, row) = t.record(a, h);
+        let (n, row) = record(&mut t, a, h);
         assert_eq!((n, &*row), (0, &[0.5, 0.5, 0.5][..]));
         row[2] = 0.9;
-        assert_eq!(t.record(a, h).0, 1, "returns the pre-increment count");
+        assert_eq!(record(&mut t, a, h).0, 1, "returns the pre-increment count");
         assert_eq!(t.credibility(a, h, 2), 0.9);
         assert_eq!(
             t.known_reporters(h),
@@ -300,8 +321,8 @@ mod tests {
             "records are reused, not re-created"
         );
         // Direction and subject matter: other pairs are separate.
-        assert_eq!(t.record(a, Handle::from_index(1)).0, 0);
-        assert_eq!(t.record(PeerId(2), h).0, 0);
+        assert_eq!(record(&mut t, a, Handle::from_index(1)).0, 0);
+        assert_eq!(record(&mut t, PeerId(2), h).0, 0);
         assert_eq!(t.known_reporters(h), 2);
     }
 
@@ -347,22 +368,26 @@ mod tests {
         let (a, b) = (PeerId(1), PeerId(2));
         let (h0, h1) = (Handle::from_index(0), Handle::from_index(1));
         for _ in 0..3 {
-            t.record(a, h0).1[0] = 0.8;
-            t.record(b, h0);
-            t.record(a, h1);
+            record(&mut t, a, h0).1[0] = 0.8;
+            record(&mut t, b, h0);
+            record(&mut t, a, h1);
         }
         // Reporter `a` departs: counts gone, credibility kept.
         t.forget_reporter(a);
-        assert_eq!(t.record(a, h0).0, 0);
+        assert_eq!(record(&mut t, a, h0).0, 0);
         assert_eq!(t.credibility(a, h0, 0), 0.8);
-        assert_eq!(t.record(b, h0).0, 3, "other reporters keep their counts");
+        assert_eq!(
+            record(&mut t, b, h0).0,
+            3,
+            "other reporters keep their counts"
+        );
         // Subject h0 departs: its records are released and reused.
         t.remove_subject(h0);
         assert_eq!(t.known_reporters(h0), 0);
         assert_eq!(t.credibility(a, h0, 0), 0.5);
         let records = t.reporter.len();
-        t.record(PeerId(9), h0);
-        t.record(PeerId(8), Handle::from_index(3));
+        record(&mut t, PeerId(9), h0);
+        record(&mut t, PeerId(8), Handle::from_index(3));
         assert_eq!(t.reporter.len(), records, "vacated records are reused");
         // `a`'s record at the other subject survives, count forgotten.
         assert_eq!(
@@ -380,6 +405,6 @@ mod tests {
         assert!(t.set_count(PeerId(4), h, 6));
         assert!(!t.set_count(PeerId(5), h, 1), "count without a row");
         assert_eq!(t.credibility(PeerId(4), h, 1), 0.75);
-        assert_eq!(t.record(PeerId(4), h).0, 6);
+        assert_eq!(record(&mut t, PeerId(4), h).0, 6);
     }
 }

@@ -50,7 +50,7 @@ fn decode(raw: &[(u8, u64, u64, f64)]) -> Vec<Op> {
         .map(|&(sel, a, b, x)| {
             let p = PeerId(a % POP);
             let q = PeerId(b % POP);
-            match sel % 6 {
+            match sel % 7 {
                 0 => Op::Join(p, x),
                 1 => Op::Leave(p),
                 2 => Op::Report(p, q, (a % 2) as f64),
@@ -69,7 +69,25 @@ fn decode(raw: &[(u8, u64, u64, f64)]) -> Vec<Op> {
                     )
                 }
                 4 => Op::Credit(p, x * 0.3),
-                _ => Op::Debit(p, x * 0.3),
+                5 => Op::Debit(p, x * 0.3),
+                _ => {
+                    // Three reporters × two subjects cycle with period
+                    // six, so a batch longer than six repeats a
+                    // (reporter, subject) pair: the order of count
+                    // increments inside one batch is under test.
+                    let len = b % 24 + 1;
+                    Op::Batch(
+                        (0..len)
+                            .map(|j| {
+                                Feedback::new(
+                                    PeerId((p.raw() + j % 3 * 7) % POP),
+                                    PeerId((q.raw() + j % 2 * 3) % POP),
+                                    (j % 3 % 2) as f64,
+                                )
+                            })
+                            .collect(),
+                    )
+                }
             }
         })
         .collect()

@@ -369,6 +369,37 @@ fn shipped_files_match_builtins_and_reencode_identically() {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+    /// The `.scn` decoder is total: flipped bits, overwritten bytes
+    /// and truncations anywhere in a shipped file decode to `Ok` or
+    /// `Err`, never a panic.
+    #[test]
+    fn mutated_shipped_scenarios_never_panic(
+        name in 0..BUILTIN_NAMES.len(),
+        edits in proptest::collection::vec(
+            (0u8..3, proptest::num::u64::ANY, proptest::num::u8::ANY),
+            1..4,
+        ),
+    ) {
+        let path = replend_scenario::shipped_path(BUILTIN_NAMES[name]);
+        let mut bytes = std::fs::read(&path).unwrap();
+        for (kind, at, byte) in edits {
+            if bytes.is_empty() {
+                break;
+            }
+            let i = (at % bytes.len() as u64) as usize;
+            match kind {
+                0 => bytes[i] ^= 1 << (byte % 8),
+                1 => bytes[i] = byte,
+                _ => bytes.truncate(i),
+            }
+        }
+        let _ = replend_scenario::decode_scenario(&bytes);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Determinism and shard invariance
 // ---------------------------------------------------------------------------
